@@ -39,6 +39,26 @@ import (
 	"agingcgra/internal/service"
 )
 
+// Connection timeouts of the daemon's http.Server. A client gets
+// readHeaderTimeout to send its request headers, and an idle keep-alive
+// connection is closed after idleTimeout, so stalled or abandoned
+// connections cannot pin server resources forever. Neither bounds a
+// request's body or its response: a long fleet query or a lifetime stream
+// runs as long as the simulation takes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -82,7 +102,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "cgra-lifetimed listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

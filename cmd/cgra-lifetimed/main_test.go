@@ -44,6 +44,22 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts pins the daemon's connection timeouts: a client
+// that never finishes its headers, or parks an idle keep-alive connection,
+// is cut off instead of holding the connection open indefinitely.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", hs.IdleTimeout)
+	}
+	if hs.Handler == nil {
+		t.Error("handler not attached")
+	}
+}
+
 // TestRunServesAndShutsDownGracefully boots the daemon on a free port,
 // queries it over real HTTP, then cancels the context and expects a clean
 // drain.

@@ -18,8 +18,11 @@ import (
 // naiveEngine is an independent reference implementation of the TransRec
 // co-simulation, transcribed from the original (pre-optimization) engine:
 // per-instruction map probes through the plain cfgcache API, per-op replay
-// accounting, and switch-dispatched timing attribution. The optimized
-// Engine must produce bit-identical Reports against it on every workload.
+// accounting, switch-dispatched timing attribution, and one mapper run per
+// captured trace (no memo of rejected translations). With Options.Health
+// set, the mapper masks dead cells and placement skips dead pivots, falling
+// back to the GPP when none is live. The optimized Engine must produce
+// bit-identical Reports against it on every workload.
 type naiveEngine struct {
 	opts  Options
 	cache *cfgcache.Cache
@@ -43,6 +46,9 @@ func newNaiveEngine(opts Options) (*naiveEngine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opts.Health != nil {
+		ctrl.SetHealth(opts.Health)
+	}
 	return &naiveEngine{
 		opts:  opts,
 		cache: cfgcache.New(opts.CacheCapacity, opts.CachePolicy),
@@ -62,13 +68,10 @@ func (e *naiveEngine) run(c *gpp.Core, limit uint64) (*Report, error) {
 			}
 			continue
 		}
-		r, err := c.Step()
+		r, err := e.stepOnGPP(c)
 		if err != nil {
 			return nil, err
 		}
-		e.rep.GPPCycles += e.opts.Timing.CyclesFor(r.Inst, r.Taken)
-		e.rep.GPPInstrs++
-		e.rep.GPPClasses[r.Inst.Op.Class()]++
 		e.observe(r)
 	}
 	e.finalizeTrace()
@@ -88,8 +91,24 @@ type limitError struct{}
 
 func (*limitError) Error() string { return "naive: instruction limit reached" }
 
+func (e *naiveEngine) stepOnGPP(c *gpp.Core) (gpp.Retire, error) {
+	r, err := c.Step()
+	if err != nil {
+		return r, err
+	}
+	e.rep.GPPCycles += e.opts.Timing.CyclesFor(r.Inst, r.Taken)
+	e.rep.GPPInstrs++
+	e.rep.GPPClasses[r.Inst.Op.Class()]++
+	return r, nil
+}
+
 func (e *naiveEngine) offload(c *gpp.Core, cfg *fabric.Config) error {
-	off, _ := e.ctrl.Place(cfg)
+	off, ok := e.ctrl.Place(cfg)
+	if !ok {
+		e.rep.GPPFallbacks++
+		_, err := e.stepOnGPP(c)
+		return err
+	}
 
 	exitSeq := cfg.Ops[0].Seq
 	early := false
@@ -155,9 +174,14 @@ func (e *naiveEngine) finalizeTrace() {
 		e.trace = e.trace[:0]
 		return
 	}
+	var disabled func(fabric.Cell) bool
+	if e.opts.Health != nil {
+		disabled = e.opts.Health.Dead
+	}
 	cfg, consumed := mapper.Map(e.trace, mapper.Options{
-		Geom: e.opts.Geom,
-		Lat:  e.opts.Lat,
+		Geom:     e.opts.Geom,
+		Lat:      e.opts.Lat,
+		Disabled: disabled,
 	})
 	e.trace = e.trace[:0]
 	if cfg == nil || consumed < e.opts.MinOps {
@@ -181,7 +205,9 @@ func (e *naiveEngine) finalizeTrace() {
 // timing tables) produces a Report identical in every field — cycle and
 // instruction counters, class vectors, cache statistics and the
 // utilization map — to the naive reference implementation, across
-// workloads and allocators.
+// workloads and allocators, on a healthy fabric and on one with a dead
+// column (the mapper re-translates around it and placement skips the pivots
+// that would drive it).
 func TestEngineMatchesNaiveReference(t *testing.T) {
 	workloads := []string{"crc32", "bitcount", "stringsearch"}
 	allocators := []struct {
@@ -192,6 +218,23 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 		{"utilization-aware", func(g fabric.Geometry) alloc.Allocator { return alloc.NewUtilizationAware(g) }},
 	}
 	geom := fabric.NewGeometry(2, 16)
+	fabrics := []struct {
+		name string
+		dead []fabric.Cell
+	}{
+		{"healthy", nil},
+		{"dead-column", fabric.DeadColumnCells(geom, 8)},
+	}
+	health := func(t *testing.T, dead []fabric.Cell) *fabric.Health {
+		if dead == nil {
+			return nil
+		}
+		h, err := fabric.NewHealthWithDead(geom, dead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
 
 	for _, name := range workloads {
 		b, ok := prog.ByName(name)
@@ -200,37 +243,41 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 		}
 		for _, al := range allocators {
 			t.Run(name+"/"+al.name, func(t *testing.T) {
-				cNaive, err := b.NewCore(prog.Tiny)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := newNaiveEngine(Options{Geom: geom, Allocator: al.factory(geom)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.run(cNaive, b.MaxInstructions)
-				if err != nil {
-					t.Fatal(err)
-				}
+				for _, fab := range fabrics {
+					t.Run(fab.name, func(t *testing.T) {
+						cNaive, err := b.NewCore(prog.Tiny)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref, err := newNaiveEngine(Options{Geom: geom, Allocator: al.factory(geom), Health: health(t, fab.dead)})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := ref.run(cNaive, b.MaxInstructions)
+						if err != nil {
+							t.Fatal(err)
+						}
 
-				cOpt, err := b.NewCore(prog.Tiny)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, err := NewEngine(Options{Geom: geom, Allocator: al.factory(geom)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := eng.Run(cOpt, b.MaxInstructions)
-				if err != nil {
-					t.Fatal(err)
-				}
+						cOpt, err := b.NewCore(prog.Tiny)
+						if err != nil {
+							t.Fatal(err)
+						}
+						eng, err := NewEngine(Options{Geom: geom, Allocator: al.factory(geom), Health: health(t, fab.dead)})
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := eng.Run(cOpt, b.MaxInstructions)
+						if err != nil {
+							t.Fatal(err)
+						}
 
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("optimized report diverges from naive reference\nnaive: %+v\n  opt: %+v", want, got)
-				}
-				if cNaive.Regs != cOpt.Regs {
-					t.Errorf("architectural register state diverges")
+						if !reflect.DeepEqual(want, got) {
+							t.Errorf("optimized report diverges from naive reference\nnaive: %+v\n  opt: %+v", want, got)
+						}
+						if cNaive.Regs != cOpt.Regs {
+							t.Errorf("architectural register state diverges")
+						}
+					})
 				}
 			})
 		}

@@ -13,6 +13,7 @@
 package dbt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 
@@ -274,6 +275,10 @@ type Engine struct {
 	unplaceable    map[uint32]bool
 	unplaceableVer uint64
 
+	// rejected memoizes the translation attempts translateTrace turned down
+	// during the current Run (nil outside Run).
+	rejected *rejectMemo
+
 	// Trace capture state.
 	trace []mapper.TraceEntry
 
@@ -414,6 +419,10 @@ func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
 	if e.opts.Recovery != nil {
 		monStart = e.opts.Recovery.SearchCounts()
 	}
+	// The rejection memo is valid for one program, so it lives exactly as
+	// long as this run.
+	e.rejected = newRejectMemo()
+	defer func() { e.rejected = nil }()
 	for !c.Halted() {
 		if c.RetiredCount() >= limit {
 			return nil, fmt.Errorf("dbt: instruction limit %d reached at pc %#x", limit, c.PC)
@@ -686,16 +695,19 @@ func (e *Engine) observe(r gpp.Retire) {
 }
 
 // finalizeTrace maps the captured trace and inserts the configuration if it
-// is big enough and projected profitable. Under ShapeTranslations the
-// mapping is a search over the candidate shape ladder instead of a single
-// identity-shape placement.
+// is big enough and projected profitable, then restarts trace capture.
 func (e *Engine) finalizeTrace() {
-	if len(e.trace) < e.opts.MinOps {
-		e.trace = e.trace[:0]
-		return
+	if len(e.trace) >= e.opts.MinOps {
+		e.translateTrace()
 	}
-	var cfg *fabric.Config
-	var consumed int
+	e.trace = e.trace[:0]
+}
+
+// translateTrace translates the captured trace. Under ShapeTranslations the
+// mapping is a search over the candidate shape ladder instead of a single
+// identity-shape placement. An attempt the run already rejected under the
+// current fabric state is answered from the rejection memo.
+func (e *Engine) translateTrace() {
 	if e.shapes != nil {
 		// Key the insert on the state the shape decision is about to be
 		// taken under: if the versions moved since the resident entries
@@ -707,6 +719,17 @@ func (e *Engine) finalizeTrace() {
 		if e.cache.SyncState(e.stateVersions()) {
 			e.stateFlushed = true
 		}
+	}
+	healthVer, wearVer := e.stateVersions()
+	if counts, ok := e.rejected.lookup(e.trace, healthVer, wearVer); ok {
+		// The hardware translator re-runs the attempt the memo skips.
+		e.search.Add(counts)
+		return
+	}
+	searchStart := e.search
+	var cfg *fabric.Config
+	var consumed int
+	if e.shapes != nil {
 		cfg, consumed = e.translateShapes()
 	} else {
 		cfg, consumed = mapper.Map(e.trace, mapper.Options{
@@ -715,15 +738,59 @@ func (e *Engine) finalizeTrace() {
 			Disabled: e.disabled,
 		})
 	}
-	e.trace = e.trace[:0]
-	if cfg == nil || consumed < e.opts.MinOps {
-		return
-	}
-	if !e.opts.NoProfitGate && !e.profitable(cfg) {
+	if cfg == nil || consumed < e.opts.MinOps ||
+		(!e.opts.NoProfitGate && !e.profitable(cfg)) {
+		e.rejected.insert(e.search.Sub(searchStart))
 		return
 	}
 	e.cache.Insert(cfg)
 	e.rep.Translations++
+}
+
+// rejectMemo remembers the translation attempts translateTrace turned down
+// (unmappable, shorter than MinOps, or unprofitable) within one Engine.Run,
+// so a trace the DBT keeps re-capturing is mapped once per fabric state
+// instead of once per capture. It is a simulator shortcut over a pure
+// function, not a modelled hardware cache: the attempt's outcome depends
+// only on the trace's (PC, Taken) sequence — the run's program fixes each
+// PC's instruction — and on the (health, wear) state the mapper and the
+// ladder tie-break read, so the memo keys on the exact sequence and clears
+// whenever the state versions move. A hit hands back the searchcost counts
+// the skipped attempt would have added.
+type rejectMemo struct {
+	healthVer, wearVer uint64
+	counts             map[string]searchcost.Counts
+	key                []byte // the key lookup built, reused by insert
+}
+
+func newRejectMemo() *rejectMemo {
+	return &rejectMemo{counts: make(map[string]searchcost.Counts)}
+}
+
+// lookup keys trace under the given state versions and reports the counts
+// of its memoized rejection, if any.
+func (m *rejectMemo) lookup(trace []mapper.TraceEntry, healthVer, wearVer uint64) (searchcost.Counts, bool) {
+	if healthVer != m.healthVer || wearVer != m.wearVer {
+		clear(m.counts)
+		m.healthVer, m.wearVer = healthVer, wearVer
+	}
+	m.key = m.key[:0]
+	for _, te := range trace {
+		m.key = binary.LittleEndian.AppendUint32(m.key, te.PC)
+		taken := byte(0)
+		if te.Taken {
+			taken = 1
+		}
+		m.key = append(m.key, taken)
+	}
+	counts, ok := m.counts[string(m.key)]
+	return counts, ok
+}
+
+// insert records a rejection of the trace the last lookup keyed, together
+// with the searchcost counts the attempt added.
+func (m *rejectMemo) insert(counts searchcost.Counts) {
+	m.counts[string(m.key)] = counts
 }
 
 // ladderStripe is one stripe's share of the translation-time ladder scan:

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"agingcgra/internal/isa"
 )
@@ -66,18 +67,15 @@ func (c *Config) Cells() []Cell {
 	if c.cells != nil {
 		return c.cells
 	}
-	seen := make(map[Cell]bool)
+	var cells []Cell
 	for _, op := range c.Ops {
 		for w := 0; w < op.Width; w++ {
-			cell := Cell{Row: op.Row, Col: op.Col + w}
-			if !seen[cell] {
-				seen[cell] = true
-				c.cells = append(c.cells, cell)
-			}
+			cells = append(cells, Cell{Row: op.Row, Col: op.Col + w})
 		}
 	}
-	// Stable order: row-major.
-	sortCells(c.cells)
+	// Stable order: row-major; sorting makes duplicates adjacent.
+	sortCells(cells)
+	c.cells = slices.Compact(cells)
 	return c.cells
 }
 

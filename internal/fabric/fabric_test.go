@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -191,6 +192,48 @@ func TestConfigCells(t *testing.T) {
 	// Cached: second call returns the same slice.
 	if &c.Cells()[0] != &cells[0] {
 		t.Error("Cells not cached")
+	}
+}
+
+// TestConfigCellsTable pins Cells' contract on hand-built op lists:
+// row-major order, every occupied cell exactly once (ops that overlap a
+// cell — as Validate would reject, but Cells must not double-count — or
+// repeat it), and width-0 ops (direct jumps) occupying nothing.
+func TestConfigCellsTable(t *testing.T) {
+	cases := []struct {
+		name string
+		ops  []PlacedOp
+		want []Cell
+	}{
+		{"no ops", nil, nil},
+		{"only width-0 ops", []PlacedOp{{Seq: 0, Width: 0}, {Seq: 1, Row: 1, Col: 3, Width: 0}}, nil},
+		{"row-major across rows", []PlacedOp{
+			{Seq: 0, Row: 1, Col: 0, Width: 2},
+			{Seq: 1, Row: 0, Col: 5, Width: 1},
+			{Seq: 2, Row: 0, Col: 1, Width: 1},
+		}, []Cell{{0, 1}, {0, 5}, {1, 0}, {1, 1}}},
+		{"overlapping spans deduplicated", []PlacedOp{
+			{Seq: 0, Row: 0, Col: 0, Width: 3},
+			{Seq: 1, Row: 0, Col: 2, Width: 2},
+			{Seq: 2, Row: 0, Col: 0, Width: 1},
+		}, []Cell{{0, 0}, {0, 1}, {0, 2}, {0, 3}}},
+		{"width-0 op between wide ops", []PlacedOp{
+			{Seq: 0, Row: 1, Col: 2, Width: 2},
+			{Seq: 1, Row: 0, Col: 0, Width: 0},
+			{Seq: 2, Row: 0, Col: 3, Width: 1},
+		}, []Cell{{0, 3}, {1, 2}, {1, 3}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Config{Geom: NewGeometry(2, 8), Ops: tc.ops}
+			got := c.Cells()
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("Cells() = %v, want %v", got, tc.want)
+			}
+			if again := c.Cells(); !slices.Equal(again, tc.want) {
+				t.Fatalf("second Cells() = %v, want %v", again, tc.want)
+			}
+		})
 	}
 }
 

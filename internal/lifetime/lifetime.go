@@ -227,6 +227,11 @@ func (sc *Scenario) applyDefaults() {
 	}
 }
 
+// maxEpochs bounds a run's epoch count (MaxYears / EpochYears) so it
+// converts to an int on every platform; past it the count would overflow
+// and the run would return an empty timeline instead of an error.
+const maxEpochs = math.MaxInt32
+
 func (sc *Scenario) validate() error {
 	if err := sc.Geom.Validate(); err != nil {
 		return err
@@ -242,12 +247,19 @@ func (sc *Scenario) validate() error {
 			return err
 		}
 	}
-	if sc.EpochYears <= 0 {
-		return fmt.Errorf("lifetime: epoch length %v years must be positive", sc.EpochYears)
+	if !(sc.EpochYears > 0) || math.IsInf(sc.EpochYears, 0) {
+		return fmt.Errorf("lifetime: epoch length %v years must be positive and finite", sc.EpochYears)
+	}
+	if math.IsNaN(sc.MaxYears) || math.IsInf(sc.MaxYears, 0) {
+		return fmt.Errorf("lifetime: horizon %v years must be finite", sc.MaxYears)
 	}
 	if sc.MaxYears < sc.EpochYears {
 		return fmt.Errorf("lifetime: horizon %v years shorter than one epoch (%v)",
 			sc.MaxYears, sc.EpochYears)
+	}
+	if n := sc.MaxYears / sc.EpochYears; n > maxEpochs {
+		return fmt.Errorf("lifetime: horizon %v years over epochs of %v years is %.3g epochs, over the limit of %d",
+			sc.MaxYears, sc.EpochYears, n, maxEpochs)
 	}
 	for _, name := range sc.Mix {
 		if _, ok := prog.ByName(name); !ok {

@@ -187,6 +187,33 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
+// TestUnboundedHorizonRejected pins that horizons the epoch loop cannot
+// count — non-finite values, or an epoch count past int range — fail
+// validation with an error instead of returning an empty timeline.
+func TestUnboundedHorizonRejected(t *testing.T) {
+	cases := []struct {
+		name              string
+		epochYears, years float64
+	}{
+		{"huge horizon", 0.5, 1e300},
+		{"infinite horizon", 0.5, math.Inf(1)},
+		{"NaN horizon", 0.5, math.NaN()},
+		{"NaN epoch", math.NaN(), 6},
+		{"infinite epoch", math.Inf(1), 6},
+		{"epoch count overflow", 1e-300, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := beScenario(nil, tc.years)
+			sc.EpochYears = tc.epochYears
+			res, err := Run(sc)
+			if err == nil {
+				t.Fatalf("accepted: %d-epoch timeline", len(res.Timeline))
+			}
+		})
+	}
+}
+
 func TestDeathAgesConsistent(t *testing.T) {
 	res, err := Run(beScenario(dse.BaselineFactory, 8))
 	if err != nil {

@@ -41,6 +41,7 @@
 package remap
 
 import (
+	"encoding/binary"
 	"runtime"
 
 	"agingcgra/internal/alloc"
@@ -393,25 +394,43 @@ func (m *Remapper) search(cfg *fabric.Config) cfgcache.RemapEntry {
 // is shape i/NumFUs anchored at the row-major offset i%NumFUs. Each viable
 // candidate — mappable, long enough, live — is placed, counted and scored;
 // the stripe keeps the (consumed desc, score asc, index asc) winner.
+//
+// Candidates that pose the mapper the same problem share one mapper.Map
+// result through a stripe-local memo: the mapper reads the health map only
+// through the shape's cells in the anchor's frame, so two candidates with
+// the same shape and the same dead mask over those cells map identically.
+// The memo is a simulator shortcut over a pure function, not modelled
+// hardware: every candidate still counts the probes its own mapping
+// performs, and the liveness check and the score still run per candidate.
 func (m *Remapper) searchRange(trace []mapper.TraceEntry, shapes []fabric.Geometry, minOps, lo, hi int) searchStripe {
 	sr := searchStripe{idx: -1}
 	cols := m.geom.Cols
+	memo := make(map[string]mapResult)
+	var key []byte
 	for i := lo; i < hi; i++ {
-		shape := shapes[i/m.geom.NumFUs()]
+		si := i / m.geom.NumFUs()
+		shape := shapes[si]
 		a := i % m.geom.NumFUs()
 		anchor := fabric.Offset{Row: a / cols, Col: a % cols}
-		var disabled func(fabric.Cell) bool
-		if m.health != nil && m.health.DeadCount() > 0 {
-			disabled = func(c fabric.Cell) bool {
-				return m.health.Dead(anchor.Apply(c, m.geom))
+		key = m.appendMaskKey(key[:0], si, shape, anchor)
+		res, ok := memo[string(key)]
+		if !ok {
+			var disabled func(fabric.Cell) bool
+			if m.health != nil && m.health.DeadCount() > 0 {
+				disabled = func(c fabric.Cell) bool {
+					return m.health.Dead(anchor.Apply(c, m.geom))
+				}
 			}
+			res.cfg, res.consumed = mapper.Map(trace, mapper.Options{
+				Geom:     shape,
+				Lat:      m.lat,
+				Disabled: disabled,
+				Probes:   &res.probes,
+			})
+			memo[string(key)] = res
 		}
-		mc, consumed := mapper.Map(trace, mapper.Options{
-			Geom:     shape,
-			Lat:      m.lat,
-			Disabled: disabled,
-			Probes:   &sr.probes,
-		})
+		sr.probes += res.probes
+		mc, consumed := res.cfg, res.consumed
 		if mc == nil || consumed < minOps {
 			continue
 		}
@@ -430,6 +449,43 @@ func (m *Remapper) searchRange(trace []mapper.TraceEntry, shapes []fabric.Geomet
 		}
 	}
 	return sr
+}
+
+// mapResult is one mapper.Map outcome of the rescue scan: the remapped
+// configuration, the ops it holds and the cell probes the placement took.
+type mapResult struct {
+	cfg      *fabric.Config
+	consumed int
+	probes   uint64
+}
+
+// appendMaskKey appends the rescue-scan memo key of the candidate (shapes
+// index si, anchor) to key: the shape index, then the candidate's dead mask
+// — one bit per shape cell in row-major order, set when the physical cell
+// it lands on under the anchor is dead. The mask is exactly what the
+// mapper's Disabled callback answers for that candidate.
+func (m *Remapper) appendMaskKey(key []byte, si int, shape fabric.Geometry, anchor fabric.Offset) []byte {
+	key = binary.AppendUvarint(key, uint64(si))
+	if m.health == nil || m.health.DeadCount() == 0 {
+		return key
+	}
+	var bits byte
+	n := 0
+	for r := 0; r < shape.Rows; r++ {
+		for c := 0; c < shape.Cols; c++ {
+			if m.health.Dead(anchor.Apply(fabric.Cell{Row: r, Col: c}, m.geom)) {
+				bits |= 1 << (n % 8)
+			}
+			if n++; n%8 == 0 {
+				key = append(key, bits)
+				bits = 0
+			}
+		}
+	}
+	if n%8 != 0 {
+		key = append(key, bits)
+	}
+	return key
 }
 
 var (

@@ -60,7 +60,7 @@ func loads(n int) []mapper.TraceEntry {
 
 // mapHealthy places a trace on the pristine fabric, as the DBT would have
 // translated it before any failure.
-func mapHealthy(t *testing.T, trace []mapper.TraceEntry, g fabric.Geometry) *fabric.Config {
+func mapHealthy(t testing.TB, trace []mapper.TraceEntry, g fabric.Geometry) *fabric.Config {
 	t.Helper()
 	cfg, n := mapper.Map(trace, mapper.Options{Geom: g, Lat: fabric.DefaultLatencies()})
 	if cfg == nil || n != len(trace) {

@@ -113,6 +113,11 @@ func TestClientErrorsAre4xxWithMessage(t *testing.T) {
 		{"unknown benchmark", "/v1/lifetime", `{"benchmarks": ["doom"], "max_years": 1}`, 400, "unknown benchmark"},
 		{"faults without recovery", "/v1/lifetime",
 			`{"benchmarks": ["crc32"], "max_years": 1, "faults": {}}`, 400, "requires Recovery"},
+		{"unbounded horizon", "/v1/lifetime", `{"benchmarks": ["crc32"], "max_years": 1e300}`, 400, "epochs"},
+		{"epoch count overflow", "/v1/lifetime",
+			`{"benchmarks": ["crc32"], "epoch_years": 1e-300, "max_years": 1}`, 400, "epochs"},
+		{"unbounded fleet horizon", "/v1/fleet",
+			`{"devices": 2, "base": {"benchmarks": ["crc32"], "max_years": 1e300}}`, 400, "epochs"},
 		{"empty batch", "/v1/batch", `{}`, 400, "no scenarios"},
 		{"zero devices", "/v1/fleet", `{"base": {}}`, 400, "devices"},
 		{"too many devices", "/v1/fleet", `{"devices": 1000000}`, 400, "limit"},
