@@ -1,7 +1,6 @@
 // Package cfgcache implements TransRec's configuration cache: translated
 // CGRA configurations indexed by the PC of their first instruction (Fig. 2,
-// step 3/4 of the paper), with bounded capacity and LRU or FIFO
-// replacement.
+// step 3/4 of the paper), with bounded capacity and LRU replacement.
 //
 // Two invariants carry the rest of the system:
 //
@@ -18,31 +17,7 @@
 //     version than the caller currently observes.
 package cfgcache
 
-import (
-	"fmt"
-
-	"agingcgra/internal/fabric"
-)
-
-// Policy selects the replacement policy.
-type Policy int
-
-const (
-	// LRU evicts the least recently used configuration.
-	LRU Policy = iota
-	// FIFO evicts the oldest configuration.
-	FIFO
-)
-
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case FIFO:
-		return "fifo"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
+import "agingcgra/internal/fabric"
 
 // Stats counts cache events.
 type Stats struct {
@@ -73,7 +48,6 @@ type entry struct {
 // call New.
 type Cache struct {
 	capacity int
-	policy   Policy
 	entries  map[uint32]*entry
 	// head is most recently used / most recently inserted; tail is the
 	// eviction candidate.
@@ -98,13 +72,12 @@ type Cache struct {
 }
 
 // New builds a cache holding at most capacity configurations.
-func New(capacity int, policy Policy) *Cache {
+func New(capacity int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Cache{
 		capacity: capacity,
-		policy:   policy,
 		entries:  make(map[uint32]*entry, capacity),
 	}
 }
@@ -192,7 +165,7 @@ func (c *Cache) probe(pc uint32) (*entry, bool) {
 }
 
 // Lookup finds the configuration starting at pc, updating hit/miss counts
-// and (for LRU) recency.
+// and recency.
 func (c *Cache) Lookup(pc uint32) (*fabric.Config, bool) {
 	e, ok := c.probe(pc)
 	if !ok {
@@ -200,9 +173,7 @@ func (c *Cache) Lookup(pc uint32) (*fabric.Config, bool) {
 		return nil, false
 	}
 	c.stats.Hits++
-	if c.policy == LRU {
-		c.moveToFront(e)
-	}
+	c.moveToFront(e)
 	return e.cfg, true
 }
 

@@ -51,7 +51,7 @@ func newNaiveEngine(opts Options) (*naiveEngine, error) {
 	}
 	return &naiveEngine{
 		opts:  opts,
-		cache: cfgcache.New(opts.CacheCapacity, opts.CachePolicy),
+		cache: cfgcache.New(opts.CacheCapacity),
 		ctrl:  ctrl,
 	}, nil
 }
@@ -131,7 +131,7 @@ func (e *naiveEngine) offload(c *gpp.Core, cfg *fabric.Config) error {
 	}
 
 	execCycles := cfg.ExecCyclesTo(exitSeq)
-	overhead := e.opts.OffloadOverhead
+	overhead := offloadOverhead
 	var reconfig uint64
 	if !e.hasResident || e.residentPC != cfg.StartPC || e.residentOff != off {
 		if e.opts.ExposeReconfig {
@@ -162,7 +162,7 @@ func (e *naiveEngine) observe(r gpp.Retire) {
 	terminator := r.Inst.Op == isa.JALR ||
 		r.Inst.Op == isa.ECALL ||
 		backEdge ||
-		len(e.trace) >= e.opts.MaxTraceLen ||
+		len(e.trace) >= maxTraceLen ||
 		e.cache.Contains(r.NextPC)
 	if terminator {
 		e.finalizeTrace()
@@ -170,7 +170,7 @@ func (e *naiveEngine) observe(r gpp.Retire) {
 }
 
 func (e *naiveEngine) finalizeTrace() {
-	if len(e.trace) < e.opts.MinOps {
+	if len(e.trace) < minOps {
 		e.trace = e.trace[:0]
 		return
 	}
@@ -180,21 +180,19 @@ func (e *naiveEngine) finalizeTrace() {
 	}
 	cfg, consumed := mapper.Map(e.trace, mapper.Options{
 		Geom:     e.opts.Geom,
-		Lat:      e.opts.Lat,
+		Lat:      fabric.DefaultLatencies(),
 		Disabled: disabled,
 	})
 	e.trace = e.trace[:0]
-	if cfg == nil || consumed < e.opts.MinOps {
+	if cfg == nil || consumed < minOps {
 		return
 	}
-	if !e.opts.NoProfitGate {
-		var gppCycles uint64
-		for _, op := range cfg.Ops {
-			gppCycles += e.opts.Timing.CyclesFor(op.Inst, op.Taken)
-		}
-		if e.opts.OffloadOverhead+cfg.ExecCycles() >= gppCycles {
-			return
-		}
+	var gppCycles uint64
+	for _, op := range cfg.Ops {
+		gppCycles += e.opts.Timing.CyclesFor(op.Inst, op.Taken)
+	}
+	if offloadOverhead+cfg.ExecCycles() >= gppCycles {
+		return
 	}
 	e.cache.Insert(cfg)
 	e.rep.Translations++

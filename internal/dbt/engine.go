@@ -29,13 +29,29 @@ import (
 	"agingcgra/internal/searchcost"
 )
 
-// Options configures an engine instance.
+// The translator and reconfiguration-logic design the paper evaluates.
+const (
+	// minOps is the smallest profitable configuration: shorter captured
+	// traces, and translations consuming fewer ops, are not cached.
+	minOps = 4
+	// maxTraceLen caps captured trace length: the DBT's translation
+	// window, a property of the hardware translator (its reorder-buffer
+	// depth), independent of the fabric size. Traces also terminate at
+	// backward-taken branches (superblock formation), so loop bodies
+	// become whole configurations re-executed per iteration.
+	maxTraceLen = 32
+	// offloadOverhead is the per-offload cycle cost of moving the input
+	// context in and results out (the unit is tightly coupled to the GPP
+	// register file). Configuration broadcast overlaps with it; only the
+	// excess reconfiguration time is charged.
+	offloadOverhead uint64 = 2
+)
+
+// Options configures an engine instance. Column latencies are always
+// fabric.DefaultLatencies.
 type Options struct {
 	// Geom is the CGRA fabric geometry.
 	Geom fabric.Geometry
-	// Lat is the per-class column latency table; zero value selects
-	// fabric.DefaultLatencies.
-	Lat fabric.LatencyTable
 	// Timing is the GPP cycle model; zero value selects gpp.DefaultTiming.
 	Timing gpp.Timing
 	// Allocator decides configuration placement; nil selects the baseline.
@@ -43,25 +59,6 @@ type Options struct {
 	// CacheCapacity is the configuration cache size in entries
 	// (default 128).
 	CacheCapacity int
-	// CachePolicy is the replacement policy (default LRU).
-	CachePolicy cfgcache.Policy
-	// MinOps is the smallest profitable configuration (default 4).
-	MinOps int
-	// MaxTraceLen caps captured trace length (default 32): the DBT's
-	// translation window, a property of the hardware translator (its
-	// reorder-buffer depth), independent of the fabric size. Traces also
-	// terminate at backward-taken branches (superblock formation), so loop
-	// bodies become whole configurations re-executed per iteration.
-	MaxTraceLen int
-	// OffloadOverhead is the per-offload cycle cost of moving the input
-	// context in and results out (default 2; the unit is tightly coupled
-	// to the GPP register file). Configuration broadcast overlaps with it;
-	// only the excess reconfiguration time is charged.
-	OffloadOverhead uint64
-	// NoProfitGate disables the DBT's profitability filter. By default a
-	// translated configuration is only cached when its projected CGRA time
-	// beats its projected GPP time.
-	NoProfitGate bool
 	// ExposeReconfig disables the wavefront overlap of configuration
 	// broadcast and execution: an ablation that charges the excess of
 	// ReconfigCycles over the offload overhead whenever the resident
@@ -74,16 +71,11 @@ type Options struct {
 	// stress on one fabric, as a deployed chip would; the Allocator option
 	// is ignored in that case.
 	Controller *core.Controller
-	// DisabledCells marks failed FUs the DBT must map around (the
-	// graceful-degradation extension). Existing cached configurations are
-	// not retrofitted; pair with a fresh engine to model a post-failure
-	// restart.
-	DisabledCells []fabric.Cell
-	// Health is the first-class form of DisabledCells: a mutable fabric
-	// health map shared between the mapper (which places new translations
-	// only on live cells) and the aging-mitigation controller (which skips
-	// pivot offsets that would rotate a configuration onto a dead FU). When
-	// both Health and DisabledCells are set, Health wins.
+	// Health is the fabric's failure map (the graceful-degradation
+	// extension): a mutable health map shared between the mapper (which
+	// places new translations only on live cells) and the aging-mitigation
+	// controller (which skips pivot offsets that would rotate a
+	// configuration onto a dead FU).
 	Health *fabric.Health
 	// StaleTranslations models a DBT whose translation memory predates the
 	// failures: new translations are mapped for the pristine fabric (no
@@ -124,14 +116,6 @@ type Options struct {
 	// shape-adaptive remapper searches). Only consulted when
 	// ShapeTranslations is set.
 	Ladder fabric.ShapeLadder
-	// SearchWorkers bounds the goroutine pool the translation-time ladder
-	// scan fans its rungs out over (<= 0 selects GOMAXPROCS; 1 forces the
-	// serial scan). Any worker count yields byte-identical translations
-	// and searchcost counters: every rung is mapped and counted, and the
-	// reduction picks the winner by (consumed desc, ExecCycles asc, wear
-	// asc, ladder order) in stripe order. Only consulted when
-	// ShapeTranslations is set.
-	SearchWorkers int
 	// Recovery attaches the fault-injection and detection/recovery monitor
 	// (internal/recover). When set, every offload draws fault
 	// manifestations from the monitor's truth maps, sampled offloads are
@@ -145,9 +129,6 @@ type Options struct {
 }
 
 func (o *Options) applyDefaults() {
-	if o.Lat == (fabric.LatencyTable{}) {
-		o.Lat = fabric.DefaultLatencies()
-	}
 	if o.Timing == (gpp.Timing{}) {
 		o.Timing = gpp.DefaultTiming()
 	}
@@ -156,15 +137,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.CacheCapacity == 0 {
 		o.CacheCapacity = 128
-	}
-	if o.MinOps == 0 {
-		o.MinOps = 4
-	}
-	if o.MaxTraceLen == 0 {
-		o.MaxTraceLen = 32
-	}
-	if o.OffloadOverhead == 0 {
-		o.OffloadOverhead = 2
 	}
 }
 
@@ -255,7 +227,6 @@ type Engine struct {
 	opts     Options
 	cache    *cfgcache.Cache
 	ctrl     *core.Controller
-	health   *fabric.Health
 	disabled func(fabric.Cell) bool
 
 	// shapes is the materialised translation-time shape ladder (nil when
@@ -320,9 +291,6 @@ func NewEngine(opts Options) (*Engine, error) {
 	if err := opts.Geom.Validate(); err != nil {
 		return nil, err
 	}
-	if err := opts.Lat.Validate(); err != nil {
-		return nil, err
-	}
 	ctrl := opts.Controller
 	if ctrl == nil {
 		var err error
@@ -334,24 +302,15 @@ func NewEngine(opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("dbt: shared controller geometry %v does not match engine geometry %v",
 			ctrl.Tracker().Geometry(), opts.Geom)
 	}
-	health := opts.Health
-	if health == nil && len(opts.DisabledCells) > 0 {
-		h, err := fabric.NewHealthWithDead(opts.Geom, opts.DisabledCells)
-		if err != nil {
-			return nil, fmt.Errorf("dbt: %w", err)
-		}
-		health = h
-	}
 	if opts.ShapeTranslations && opts.StaleTranslations {
 		return nil, fmt.Errorf("dbt: ShapeTranslations and StaleTranslations are mutually exclusive: " +
 			"shape-aware translation keys the translation memory on the fabric state, stale translation predates it")
 	}
 	e := &Engine{
-		opts:   opts,
-		cache:  cfgcache.New(opts.CacheCapacity, opts.CachePolicy),
-		ctrl:   ctrl,
-		health: health,
-		trace:  make([]mapper.TraceEntry, 0, opts.MaxTraceLen),
+		opts:  opts,
+		cache: cfgcache.New(opts.CacheCapacity),
+		ctrl:  ctrl,
+		trace: make([]mapper.TraceEntry, 0, maxTraceLen),
 	}
 	if opts.ShapeTranslations {
 		ladder := opts.Ladder
@@ -367,7 +326,7 @@ func NewEngine(opts Options) (*Engine, error) {
 				ladder.Name, opts.Geom)
 		}
 	}
-	if health != nil {
+	if health := opts.Health; health != nil {
 		// StaleTranslations withholds the mask from the mapper: new
 		// translations assume a pristine fabric, so clustered failures can
 		// make them unplaceable — the case the remap layer rescues.
@@ -536,7 +495,7 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 	}
 
 	execCycles := mapped.ExecCyclesFirst(n)
-	overhead := e.opts.OffloadOverhead
+	overhead := offloadOverhead
 	var reconfig uint64
 	if !e.hasResident || e.residentPC != mapped.StartPC || e.residentOff != off {
 		// Configuration broadcast (Fig. 5a) proceeds as a wavefront ahead
@@ -649,8 +608,8 @@ func (e *Engine) gppCyclesFirst(cfg *fabric.Config, n int) uint64 {
 // stateVersions snapshots the (health, wear) versions the shape decisions
 // key on; an unattached map reads as version zero.
 func (e *Engine) stateVersions() (healthVer, wearVer uint64) {
-	if e.health != nil {
-		healthVer = e.health.Version()
+	if e.opts.Health != nil {
+		healthVer = e.opts.Health.Version()
 	}
 	if w := e.ctrl.Wear(); w != nil {
 		wearVer = w.Version()
@@ -687,7 +646,7 @@ func (e *Engine) observe(r gpp.Retire) {
 	terminator := r.Inst.Op == isa.JALR ||
 		r.Inst.Op == isa.ECALL ||
 		backEdge ||
-		len(e.trace) >= e.opts.MaxTraceLen ||
+		len(e.trace) >= maxTraceLen ||
 		e.cache.Contains(r.NextPC)
 	if terminator {
 		e.finalizeTrace()
@@ -697,7 +656,7 @@ func (e *Engine) observe(r gpp.Retire) {
 // finalizeTrace maps the captured trace and inserts the configuration if it
 // is big enough and projected profitable, then restarts trace capture.
 func (e *Engine) finalizeTrace() {
-	if len(e.trace) >= e.opts.MinOps {
+	if len(e.trace) >= minOps {
 		e.translateTrace()
 	}
 	e.trace = e.trace[:0]
@@ -734,12 +693,11 @@ func (e *Engine) translateTrace() {
 	} else {
 		cfg, consumed = mapper.Map(e.trace, mapper.Options{
 			Geom:     e.opts.Geom,
-			Lat:      e.opts.Lat,
+			Lat:      fabric.DefaultLatencies(),
 			Disabled: e.disabled,
 		})
 	}
-	if cfg == nil || consumed < e.opts.MinOps ||
-		(!e.opts.NoProfitGate && !e.profitable(cfg)) {
+	if cfg == nil || consumed < minOps || !e.profitable(cfg) {
 		e.rejected.insert(e.search.Sub(searchStart))
 		return
 	}
@@ -748,7 +706,7 @@ func (e *Engine) translateTrace() {
 }
 
 // rejectMemo remembers the translation attempts translateTrace turned down
-// (unmappable, shorter than MinOps, or unprofitable) within one Engine.Run,
+// (unmappable, shorter than minOps, or unprofitable) within one Engine.Run,
 // so a trace the DBT keeps re-capturing is mapped once per fabric state
 // instead of once per capture. It is a simulator shortcut over a pure
 // function, not a modelled hardware cache: the attempt's outcome depends
@@ -820,12 +778,13 @@ type ladderStripe struct {
 // identity-frame mask cannot serve. The scan is counted for the derived
 // search-cost model.
 //
-// Rungs fan out over a bounded goroutine pool (Options.SearchWorkers):
-// every rung is mapped against shared read-only state and classified
-// regardless of evaluation order, per-stripe probe counters are summed in
-// stripe order, and the winner is the lexicographic minimum over
-// (consumed desc, cycles asc, wear asc, rung index) — so translations and
-// counters are byte-identical for every worker count.
+// Rungs fan out over one goroutine per stripe, runtime.GOMAXPROCS(0)
+// stripes at most: every rung is mapped against shared read-only state
+// and classified regardless of evaluation order, per-stripe probe
+// counters are summed in stripe order, and the winner is the
+// lexicographic minimum over (consumed desc, cycles asc, wear asc, rung
+// index) — so translations and counters are byte-identical for every
+// GOMAXPROCS setting.
 func (e *Engine) translateShapes() (*fabric.Config, int) {
 	e.search.LadderScans++
 	e.search.LadderCandidates += uint64(len(e.shapes))
@@ -834,10 +793,7 @@ func (e *Engine) translateShapes() (*fabric.Config, int) {
 	if n == 0 {
 		return nil, 0
 	}
-	workers := e.opts.SearchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if pscan.Count(n, workers) == 1 {
 		// Serial fast path: no stripe slice or closure per translation.
 		sr := e.scanLadder(wear, 0, n)
@@ -874,7 +830,7 @@ func (e *Engine) scanLadder(wear *fabric.Wear, lo, hi int) ladderStripe {
 	for i := lo; i < hi; i++ {
 		cfg, consumed := mapper.Map(e.trace, mapper.Options{
 			Geom:     e.shapes[i],
-			Lat:      e.opts.Lat,
+			Lat:      fabric.DefaultLatencies(),
 			Disabled: e.disabled,
 			Probes:   &sr.probes,
 		})
@@ -905,7 +861,7 @@ func (e *Engine) profitable(cfg *fabric.Config) bool {
 	for _, op := range cfg.Ops {
 		gppCycles += e.opts.Timing.CyclesFor(op.Inst, op.Taken)
 	}
-	cgraCycles := e.opts.OffloadOverhead + cfg.ExecCycles()
+	cgraCycles := offloadOverhead + cfg.ExecCycles()
 	return cgraCycles < gppCycles
 }
 

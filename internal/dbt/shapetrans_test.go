@@ -2,6 +2,7 @@ package dbt
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"agingcgra/internal/fabric"
@@ -235,18 +236,18 @@ func TestShapeTranslationsRejectEmptyLadder(t *testing.T) {
 	}
 }
 
-// TestShapeSearchWorkerCountInvariance pins the SearchWorkers determinism
+// TestShapeSearchWorkerCountInvariance pins the ladder scan's determinism
 // contract: the translation-time ladder scan striped over four workers
-// produces a byte-identical report — same offloads, same translations,
-// same searchcost counters — and the same architectural result as the
-// forced-serial scan.
+// (GOMAXPROCS 4) produces a byte-identical report — same offloads, same
+// translations, same searchcost counters — and the same architectural
+// result as the serial scan (GOMAXPROCS 1).
 func TestShapeSearchWorkerCountInvariance(t *testing.T) {
-	run := func(workers int) (*Report, uint32) {
+	run := func(procs int) (*Report, uint32) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		c := loopCore(t)
 		e, err := NewEngine(Options{
 			Geom:              fabric.NewGeometry(2, 16),
 			ShapeTranslations: true,
-			SearchWorkers:     workers,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,18 +6,19 @@
 // regardless of completion order, and the stand-alone GPP reference — a
 // pure function of (benchmark, size, timing) that the serial path
 // recomputed for every point — is memoized in a RefCache shared across the
-// pool. ForEach spins up a throwaway pool per call (the sweep-command
-// shape); Pool (queue.go) is the persistent, bounded-queue variant the
-// lifetime service keeps across requests, with context cancellation and
-// graceful drain. Both honor the same contract: indexed results, the
-// lowest-indexed error, and panics recovered into that index's error.
+// pool. Pool (queue.go) is the one goroutine-pool implementation: the
+// lifetime service keeps a persistent Pool across requests, with context
+// cancellation and graceful drain, and ForEach's parallel path runs on a
+// run-scoped Pool per call (the sweep-command shape). Both honor the same
+// contract: indexed results, the lowest-indexed error, and panics
+// recovered into that index's error.
 package dse
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 
 	"agingcgra/internal/dbt"
 	"agingcgra/internal/fabric"
@@ -90,8 +91,8 @@ type Point struct {
 	Factory AllocatorFactory
 }
 
-// ForEach runs fn(i) for every index in [0, n), fanned out over a worker
-// pool (workers <= 0 selects the runnable-CPU bound, runtime.GOMAXPROCS;
+// ForEach runs fn(i) for every index in [0, n), fanned out over a
+// run-scoped Pool that is closed before it returns (workers <= 0 selects the runnable-CPU bound, runtime.GOMAXPROCS;
 // 1 forces the serial path, which short-circuits on the first error).
 // Resolving the default against GOMAXPROCS rather than NumCPU matters on
 // constrained boxes: a GOMAXPROCS=1 process gains nothing from extra
@@ -108,7 +109,6 @@ type Point struct {
 // RunPoints and the lifetime scenario batches; fn must be safe to call from
 // multiple goroutines for distinct indices.
 func ForEach(n, workers int, fn func(i int) error) error {
-	call := func(i int) error { return protect(i, fn) }
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -117,36 +117,16 @@ func ForEach(n, workers int, fn func(i int) error) error {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := call(i); err != nil {
+			if err := protect(i, fn); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	errs := make([]error, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				errs[i] = call(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	p := NewPool(workers, 0)
+	defer p.Close()
+	return p.ForEach(context.Background(), n, fn)
 }
 
 // protect runs fn(i) and converts a panic into that index's error — the

@@ -93,18 +93,13 @@ const minParallelPivots = 64
 // forwards: HealthSetter (dead cells), WearSetter (cross-epoch
 // stress-years) and StressObserver (within-run duty).
 type Explorer struct {
-	geom  fabric.Geometry
-	model aging.Model
+	geom fabric.Geometry
 	// horizonYears scales the within-run duty footprint into projected
 	// stress-years: the explorer assumes the observed allocation pattern
 	// persists for this long when ranking candidate placements.
 	horizonYears float64
 	// recomputeEvery is the pivot re-exploration period in executions.
 	recomputeEvery uint64
-	// workers bounds the goroutine pool of large pivot scans (<= 0 selects
-	// GOMAXPROCS; 1 forces the serial scan). The scan outcome and the
-	// searchcost counters are identical for every worker count.
-	workers int
 
 	health *fabric.Health
 	wear   *fabric.Wear
@@ -181,12 +176,6 @@ type pivotState struct {
 // Option configures the Explorer.
 type Option func(*Explorer)
 
-// WithModel selects the NBTI model scoring projected wear (default
-// aging.NewModel, the paper's calibration).
-func WithModel(m aging.Model) Option {
-	return func(e *Explorer) { e.model = m }
-}
-
 // WithHorizon sets the projection horizon in years (default 1).
 func WithHorizon(years float64) Option {
 	return func(e *Explorer) {
@@ -206,20 +195,10 @@ func WithRecomputeEvery(n int) Option {
 	}
 }
 
-// WithWorkers bounds the goroutine pool large pivot scans fan out over
-// (default 0: GOMAXPROCS; 1 forces serial scans). Any worker count yields
-// byte-identical results and searchcost counters — the reduction is an
-// index-ordered argmin and the counters are order-invariant sums — so the
-// knob trades only wall clock.
-func WithWorkers(n int) Option {
-	return func(e *Explorer) { e.workers = n }
-}
-
 // New builds a wear-aware placement explorer for the geometry.
 func New(g fabric.Geometry, opts ...Option) *Explorer {
 	e := &Explorer{
 		geom:           g,
-		model:          aging.NewModel(),
 		horizonYears:   1,
 		recomputeEvery: 16,
 		rowBase:        make([]int, 2*g.Rows),
@@ -399,12 +378,13 @@ type stripeResult struct {
 // the controller's own health check rejects the offload (GPP fallback).
 //
 // The scan seeds its pruning bound with the previously held pivot's score
-// and fans out over a bounded goroutine pool on large fabrics; neither
+// and, on large fabrics, fans out over one goroutine per stripe with
+// runtime.GOMAXPROCS(0) stripes at most; neither
 // changes the argmin (pruning only discards candidates whose running
 // maximum is already strictly worse, and the parallel reduction is an
 // index-ordered argmin over stripe results), and the searchcost counters
 // are order-invariant sums, so serial, pruned and parallel scans are
-// byte-identical in outcome and counted work.
+// byte-identical in outcome and counted work under any GOMAXPROCS.
 func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 	e.syncWear()
 	cells := cfg.Cells()
@@ -434,10 +414,7 @@ func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
 	}
 
 	n := e.geom.NumFUs()
-	workers := e.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if n < minParallelPivots {
 		workers = 1
 	}
@@ -627,14 +604,15 @@ func (e *Explorer) Score(cfg *fabric.Config, off fabric.Offset) float64 {
 // once here; ProjectedScore is then a pure read.
 func (e *Explorer) Reproject() { e.syncWear() }
 
-// ProjectedScore evaluates one candidate against the incrementally
+// ProjectedScore evaluates one candidate — its worst projected ΔVt under
+// the paper's default NBTI conditions — against the incrementally
 // maintained projection state (see Reproject); Score is Reproject followed
 // by ProjectedScore. Unlike the pre-incremental explorer there is no
 // separately cached ΔVt table to go stale: every call scores the same
 // snapshot the pivot scan reads.
 func (e *Explorer) ProjectedScore(cfg *fabric.Config, off fabric.Offset) float64 {
 	maxY, _, _ := e.scoreYears(cfg.Cells(), off, nil, e.dutyScale())
-	return e.model.Cond.DeltaVt(maxY, 1)
+	return aging.DefaultConditions().DeltaVt(maxY, 1)
 }
 
 // SearchCounts implements searchcost.Instrumented: the accumulated pivot

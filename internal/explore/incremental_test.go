@@ -2,10 +2,12 @@ package explore
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"agingcgra/internal/aging"
 	"agingcgra/internal/fabric"
+	"agingcgra/internal/searchcost"
 )
 
 // refState is the brute-force reference of the incremental projection: it
@@ -138,58 +140,55 @@ func TestIncrementalProjectionMatchesFullRecompute(t *testing.T) {
 	}
 }
 
-// TestParallelScanMatchesSerial drives two explorers — one forced serial,
-// one striped over four workers — through an identical history on a fabric
-// large enough to cross the parallel threshold, with a clustered failure
-// blob in the middle, and pins that every exploration returns the same
-// pivot and that the searchcost counters match exactly: the counted work
-// models the hardware scan, so striping must not change it.
+// TestParallelScanMatchesSerial drives an explorer through one history
+// twice — once under GOMAXPROCS 1 (serial scans), once under GOMAXPROCS 4
+// (scans striped over four workers) — on a fabric large enough to cross
+// the parallel threshold, with clustered failure blobs, and pins that
+// every exploration returns the same pivot and that the searchcost
+// counters match exactly: the counted work models the hardware scan, so
+// striping must not change it.
 func TestParallelScanMatchesSerial(t *testing.T) {
 	g := fabric.NewGeometry(8, 16) // 128 pivots >= minParallelPivots
 	cfg := testConfig(g)
-	mk := func(workers int) (*Explorer, *fabric.Health, *fabric.Wear) {
-		e := New(g, WithWorkers(workers))
+	run := func(procs int) ([]fabric.Offset, searchcost.Counts) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		e := New(g)
 		h := fabric.NewHealth(g)
 		w := fabric.NewWear(g)
 		e.SetHealth(h)
 		e.SetWear(w)
-		return e, h, w
-	}
-	es, hs, ws := mk(1)
-	ep, hp, wp := mk(4)
-
-	state := uint32(0xfeed02)
-	for step := 0; step < 400; step++ {
-		cell := fabric.Cell{
-			Row: int(xorshift(&state)) % g.Rows,
-			Col: int(xorshift(&state)) % g.Cols,
-		}
-		switch xorshift(&state) % 8 {
-		case 0, 1, 2, 3, 4:
-			off := fabric.Offset{Row: cell.Row, Col: cell.Col}
-			cycles := uint64(xorshift(&state)%300 + 1)
-			es.ObserveStress(cfg.Cells(), off, cycles)
-			ep.ObserveStress(cfg.Cells(), off, cycles)
-		case 5: // clustered failure: kill a 2x2 blob
-			for dr := 0; dr < 2; dr++ {
-				for dc := 0; dc < 2; dc++ {
-					c := fabric.Cell{Row: (cell.Row + dr) % g.Rows, Col: (cell.Col + dc) % g.Cols}
-					hs.Kill(c)
-					hp.Kill(c)
-				}
+		var offs []fabric.Offset
+		state := uint32(0xfeed02)
+		for step := 0; step < 400; step++ {
+			cell := fabric.Cell{
+				Row: int(xorshift(&state)) % g.Rows,
+				Col: int(xorshift(&state)) % g.Cols,
 			}
-		default:
-			years := float64(xorshift(&state)%1000) / 4000.0
-			ws.Add(cell, years)
-			wp.Add(cell, years)
+			switch xorshift(&state) % 8 {
+			case 0, 1, 2, 3, 4:
+				off := fabric.Offset{Row: cell.Row, Col: cell.Col}
+				e.ObserveStress(cfg.Cells(), off, uint64(xorshift(&state)%300+1))
+			case 5: // clustered failure: kill a 2x2 blob
+				for dr := 0; dr < 2; dr++ {
+					for dc := 0; dc < 2; dc++ {
+						h.Kill(fabric.Cell{Row: (cell.Row + dr) % g.Rows, Col: (cell.Col + dc) % g.Cols})
+					}
+				}
+			default:
+				w.Add(cell, float64(xorshift(&state)%1000)/4000.0)
+			}
+			offs = append(offs, e.Explore(cfg))
 		}
-		offS := es.Explore(cfg)
-		offP := ep.Explore(cfg)
-		if offS != offP {
-			t.Fatalf("step %d: serial chose %v, parallel chose %v", step, offS, offP)
+		return offs, e.SearchCounts()
+	}
+	offsS, cs := run(1)
+	offsP, cp := run(4)
+	for step := range offsS {
+		if offsS[step] != offsP[step] {
+			t.Fatalf("step %d: serial chose %v, parallel chose %v", step, offsS[step], offsP[step])
 		}
 	}
-	if cs, cp := es.SearchCounts(), ep.SearchCounts(); cs != cp {
+	if cs != cp {
 		t.Fatalf("searchcost counts diverge:\nserial:   %+v\nparallel: %+v", cs, cp)
 	}
 }

@@ -60,10 +60,18 @@ func DefaultCtxLines(rows int) int { return 2*rows + 2 }
 // reloading is fully hidden behind the per-offload startup.
 func DefaultCfgLines(cols int) int { return 4 }
 
+// maxSide bounds each side of a fabric. Simulator state is allocated per
+// FU, so an unbounded geometry from an untrusted request could exhaust
+// memory; 64 is far above the largest geometry any sweep uses (8x32).
+const maxSide = 64
+
 // Validate checks the geometry for consistency.
 func (g Geometry) Validate() error {
 	if g.Rows < 1 || g.Cols < 1 {
 		return fmt.Errorf("fabric: geometry %dx%d must be at least 1x1", g.Rows, g.Cols)
+	}
+	if g.Rows > maxSide || g.Cols > maxSide {
+		return fmt.Errorf("fabric: geometry %dx%d exceeds the limit of %d per side", g.Rows, g.Cols, maxSide)
 	}
 	if g.CtxLines < 1 {
 		return fmt.Errorf("fabric: geometry needs at least one context line")

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,26 @@ func TestGeometryValidate(t *testing.T) {
 	for _, g := range bad {
 		if err := g.Validate(); err == nil {
 			t.Errorf("geometry %+v accepted", g)
+		}
+	}
+}
+
+func TestGeometrySideLimit(t *testing.T) {
+	cases := []struct {
+		rows, cols int
+		ok         bool
+	}{
+		{64, 64, true},
+		{65, 1, false},
+		{1, 65, false},
+	}
+	for _, c := range cases {
+		err := NewGeometry(c.rows, c.cols).Validate()
+		if c.ok && err != nil {
+			t.Errorf("%dx%d rejected: %v", c.rows, c.cols, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "64")) {
+			t.Errorf("%dx%d: got %v, want an error naming the limit 64", c.rows, c.cols, err)
 		}
 	}
 }

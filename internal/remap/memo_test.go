@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"agingcgra/internal/cfgcache"
@@ -35,7 +36,7 @@ func unmemoizedSearch(m *Remapper, cfg *fabric.Config) cfgcache.RemapEntry {
 			anchor := fabric.Offset{Row: a / m.geom.Cols, Col: a % m.geom.Cols}
 			mc, consumed := mapper.Map(trace, mapper.Options{
 				Geom: shape,
-				Lat:  m.lat,
+				Lat:  fabric.DefaultLatencies(),
 				Disabled: func(c fabric.Cell) bool {
 					return m.health.Dead(anchor.Apply(c, m.geom))
 				},
@@ -85,7 +86,7 @@ func randomDead(rng *rand.Rand, g fabric.Geometry, trial int) []fabric.Cell {
 
 // TestSearchMatchesUnmemoizedScan is the differential pin of the rescue
 // scan's mapping memo: over random health masks and wear maps on two
-// geometries, at one and four workers, search returns the same placement
+// geometries, under GOMAXPROCS 1 and 4, search returns the same placement
 // and adds byte-identical searchcost Counts as the unmemoized reference.
 func TestSearchMatchesUnmemoizedScan(t *testing.T) {
 	traces := map[string][]mapper.TraceEntry{
@@ -107,7 +108,7 @@ func TestSearchMatchesUnmemoizedScan(t *testing.T) {
 				for i := range wearYears {
 					wearYears[i] = 4 * rng.Float64()
 				}
-				setup := func(workers int) *Remapper {
+				setup := func() *Remapper {
 					h, err := fabric.NewHealthWithDead(g, dead)
 					if err != nil {
 						t.Fatal(err)
@@ -116,16 +117,18 @@ func TestSearchMatchesUnmemoizedScan(t *testing.T) {
 					for i, y := range wearYears {
 						w.Add(fabric.Cell{Row: i / g.Cols, Col: i % g.Cols}, y)
 					}
-					m := New(g, WithWorkers(workers))
+					m := New(g)
 					m.SetHealth(h)
 					m.SetWear(w)
 					return m
 				}
-				ref := setup(1)
+				ref := setup()
 				want := unmemoizedSearch(ref, cfg)
+				// GOMAXPROCS n stripes the scan over n workers.
 				for _, workers := range []int{1, 4} {
 					t.Run(fmt.Sprintf("%v/%s/%d/workers=%d", g, name, trial, workers), func(t *testing.T) {
-						m := setup(workers)
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+						m := setup()
 						got := m.search(cfg)
 						if got.OK != want.OK || got.Off != want.Off {
 							t.Fatalf("entry (ok=%v off=%v), reference (ok=%v off=%v)",

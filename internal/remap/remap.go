@@ -31,10 +31,10 @@
 // scans this costs are counted and priced by the derived hardware-cost
 // model in internal/searchcost.
 //
-// The rescue scan fans out over a bounded goroutine pool (WithWorkers):
-// candidates stripe by flattened (shape, anchor) index and the reduction
-// is an index-ordered argmin, so any worker count returns the identical
-// placement. Every viable candidate is mapped, counted and scored — no
+// The rescue scan fans out over one goroutine per stripe, with
+// runtime.GOMAXPROCS(0) stripes at most: candidates stripe by flattened
+// (shape, anchor) index and the reduction is an index-ordered argmin, so
+// any GOMAXPROCS setting returns the identical placement. Every viable candidate is mapped, counted and scored — no
 // running-best gate short-circuits the per-candidate work — which keeps
 // the searchcost counters sums over a fixed candidate set, byte-identical
 // between serial and parallel runs.
@@ -63,12 +63,10 @@ const minParallelCandidates = 16
 // (delegating the healthy-path pivot choice to the wear-aware explorer),
 // the controller feedback interfaces, and alloc.ConfigRemapper.
 type Remapper struct {
-	geom    fabric.Geometry
-	lat     fabric.LatencyTable
-	ex      *explore.Explorer
-	minOps  int
-	shapes  []fabric.Geometry
-	workers int
+	geom   fabric.Geometry
+	ex     *explore.Explorer
+	minOps int
+	shapes []fabric.Geometry
 
 	health *fabric.Health
 	wear   *fabric.Wear
@@ -81,12 +79,6 @@ type Remapper struct {
 // Option configures the Remapper.
 type Option func(*Remapper)
 
-// WithLatencies sets the latency table the shape search maps with; it must
-// match the engine's (default fabric.DefaultLatencies).
-func WithLatencies(lat fabric.LatencyTable) Option {
-	return func(m *Remapper) { m.lat = lat }
-}
-
 // WithMinOps sets the smallest remapped prefix worth offloading (default 4,
 // matching the engine's translation threshold).
 func WithMinOps(n int) Option {
@@ -97,23 +89,13 @@ func WithMinOps(n int) Option {
 	}
 }
 
-// WithShapes overrides the candidate shape list (default CandidateShapes).
-func WithShapes(shapes ...fabric.Geometry) Option {
-	return func(m *Remapper) {
-		if len(shapes) > 0 {
-			m.shapes = shapes
-		}
-	}
-}
-
 // WithLadder selects the shape ladder the rescue search expands (default
 // fabric.DefaultShapeLadder). The same ladder drives the DBT's
 // translation-time shape search (dbt.Options.Ladder); giving both layers
 // one ladder keeps the allocation-time rescue and the translation-time
 // choice searching the same space. A malformed ladder that expands to no
-// shapes is ignored (the default ladder stays in force), mirroring
-// WithShapes — an empty rescue scan would silently degrade the allocator
-// to a plain explorer.
+// shapes is ignored (the default ladder stays in force): an empty rescue
+// scan would silently degrade the allocator to a plain explorer.
 func WithLadder(l fabric.ShapeLadder) Option {
 	return func(m *Remapper) {
 		if shapes := l.Shapes(m.geom); len(shapes) > 0 {
@@ -122,27 +104,10 @@ func WithLadder(l fabric.ShapeLadder) Option {
 	}
 }
 
-// WithExplorerOptions forwards options to the underlying wear-aware
-// explorer (projection horizon, recompute period, NBTI model).
-func WithExplorerOptions(opts ...explore.Option) Option {
-	return func(m *Remapper) { m.ex = explore.New(m.geom, opts...) }
-}
-
-// WithWorkers bounds the goroutine pool the rescue scan fans its
-// (shape × anchor) candidates out over (default 0: GOMAXPROCS; 1 forces
-// the serial scan). Any worker count yields byte-identical results and
-// searchcost counters: every viable candidate is mapped, counted and
-// scored regardless of evaluation order, and the reduction picks the
-// winner by (consumed desc, score asc, candidate index) in stripe order.
-func WithWorkers(n int) Option {
-	return func(m *Remapper) { m.workers = n }
-}
-
 // New builds a shape-adaptive remapper for the physical geometry.
 func New(g fabric.Geometry, opts ...Option) *Remapper {
 	m := &Remapper{
 		geom:   g,
-		lat:    fabric.DefaultLatencies(),
 		ex:     explore.New(g),
 		minOps: 4,
 		shapes: CandidateShapes(g),
@@ -224,12 +189,6 @@ func Trace(cfg *fabric.Config) []mapper.TraceEntry {
 // not even the first op fits. A nil health map reshapes on a pristine
 // fabric — the architectural-equivalence property tests use exactly that.
 func Reshape(cfg *fabric.Config, shape fabric.Geometry, anchor fabric.Offset, phys fabric.Geometry, health *fabric.Health, lat fabric.LatencyTable) (*fabric.Config, int) {
-	return reshapeCounted(cfg, shape, anchor, phys, health, lat, nil)
-}
-
-// reshapeCounted is Reshape with an optional mapper probe counter, so the
-// rescue scan's work feeds the derived search-cost model.
-func reshapeCounted(cfg *fabric.Config, shape fabric.Geometry, anchor fabric.Offset, phys fabric.Geometry, health *fabric.Health, lat fabric.LatencyTable, probes *uint64) (*fabric.Config, int) {
 	var disabled func(fabric.Cell) bool
 	if health != nil && health.DeadCount() > 0 {
 		disabled = func(c fabric.Cell) bool {
@@ -240,7 +199,6 @@ func reshapeCounted(cfg *fabric.Config, shape fabric.Geometry, anchor fabric.Off
 		Geom:     shape,
 		Lat:      lat,
 		Disabled: disabled,
-		Probes:   probes,
 	})
 }
 
@@ -324,15 +282,16 @@ type searchStripe struct {
 // score break by shape order then row-major anchor — the flattened
 // candidate index — so the search is deterministic.
 //
-// The scan fans out over a bounded goroutine pool: candidates are
-// partitioned into contiguous stripes, each worker maps, checks and scores
+// The scan fans out over runtime.GOMAXPROCS(0) stripes at most (serial
+// below minParallelCandidates): candidates are partitioned into
+// contiguous stripes, each worker maps, checks and scores
 // its own range against shared read-only state (the trace, the health map
 // and the explorer's projection, synchronised once by Reproject), and the
 // reduction picks the winner by (consumed desc, score asc, index asc) in
 // stripe order. Every viable candidate is mapped, counted and scored —
 // there is no running-best gate short-circuiting the per-candidate work —
 // so the searchcost counters are sums over a fixed candidate set,
-// byte-identical for every worker count including the serial path.
+// byte-identical for every stripe count including the serial path.
 func (m *Remapper) search(cfg *fabric.Config) cfgcache.RemapEntry {
 	minOps := m.minOps
 	if n := len(cfg.Ops); n < minOps {
@@ -359,10 +318,7 @@ func (m *Remapper) search(cfg *fabric.Config) cfgcache.RemapEntry {
 	m.counts.RemapCandidates += uint64(n)
 	trace := Trace(cfg)
 
-	workers := m.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if n < minParallelCandidates {
 		workers = 1
 	}
@@ -423,7 +379,7 @@ func (m *Remapper) searchRange(trace []mapper.TraceEntry, shapes []fabric.Geomet
 			}
 			res.cfg, res.consumed = mapper.Map(trace, mapper.Options{
 				Geom:     shape,
-				Lat:      m.lat,
+				Lat:      fabric.DefaultLatencies(),
 				Disabled: disabled,
 				Probes:   &res.probes,
 			})

@@ -2,6 +2,7 @@ package remap
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"agingcgra/internal/alloc"
@@ -546,15 +547,17 @@ func TestReshapeWrapAroundAnchor(t *testing.T) {
 	}
 }
 
-// TestRemapWorkerCountInvariance runs the same rescue search serial and
-// striped over four workers on a clustered-failure fabric with a skewed
+// TestRemapWorkerCountInvariance runs the same rescue search under
+// GOMAXPROCS 1 (serial) and GOMAXPROCS 4 (striped over four workers) on a
+// clustered-failure fabric with a skewed
 // wear map, and pins that both produce the same placement and — because
 // the counters sum over the fixed viable-candidate set, not the order the
 // running best happened to improve in — byte-identical searchcost Counts.
 func TestRemapWorkerCountInvariance(t *testing.T) {
 	g := fabric.NewGeometry(2, 16)
 	cfg := mapHealthy(t, independentALUs(8), g)
-	run := func(workers int) (*fabric.Config, fabric.Offset, bool, searchcost.Counts) {
+	run := func(procs int) (*fabric.Config, fabric.Offset, bool, searchcost.Counts) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		// Dead quadrant (row 0, columns 0-7): the healthy shape survives
 		// at some anchors, narrower shapes at more — a real multi-shape,
 		// multi-anchor scan.
@@ -566,7 +569,7 @@ func TestRemapWorkerCountInvariance(t *testing.T) {
 		for c := 0; c < 8; c++ {
 			w.Add(fabric.Cell{Row: 1, Col: c}, 2)
 		}
-		m := New(g, WithWorkers(workers))
+		m := New(g)
 		m.SetHealth(h)
 		m.SetWear(w)
 		mc, off, ok := m.RemapConfig(cfg, fabric.Offset{}, false)

@@ -93,7 +93,6 @@ func New(o Options) *Server {
 	s.route(mux, "/v1/batch", http.MethodPost, s.handleBatch)
 	s.route(mux, "/v1/fleet", http.MethodPost, s.handleFleet)
 	s.route(mux, "/v1/stats", http.MethodGet, s.handleStats)
-	s.route(mux, "/stats", http.MethodGet, s.handleStats)
 	s.mux = mux
 	return s
 }

@@ -107,6 +107,7 @@ func TestClientErrorsAre4xxWithMessage(t *testing.T) {
 		{"trailing garbage", "/v1/lifetime", `{} {}`, 400, "trailing data"},
 		{"unknown allocator", "/v1/lifetime", `{"allocator": "bogus"}`, 400, "unknown allocator"},
 		{"unknown size", "/v1/lifetime", `{"size": "jumbo"}`, 400, "unknown size"},
+		{"oversized geometry", "/v1/lifetime", `{"rows": 100000, "cols": 100000}`, 400, "limit of 64"},
 		{"unknown pattern", "/v1/lifetime", `{"dead_pattern": "zigzag"}`, 400, "pattern"},
 		{"unknown ladder", "/v1/lifetime",
 			`{"shape_translations": true, "shape_ladder": "bogus"}`, 400, "ladder"},
@@ -334,21 +335,19 @@ func TestClosedServerReturns503(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 5})
 	post(t, ts, "/v1/lifetime", fastScenario)
-	for _, path := range []string{"/v1/stats", "/stats"} {
-		code, body := get(t, ts, path)
-		if code != http.StatusOK {
-			t.Fatalf("%s: %d %s", path, code, body)
-		}
-		var resp statsResponse
-		if err := json.Unmarshal([]byte(body), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Results.Misses != 1 || resp.Pool.Workers != 2 || resp.Pool.QueueDepth != 5 {
-			t.Fatalf("%s: unexpected stats %s", path, body)
-		}
-		if resp.Refs.Misses == 0 {
-			t.Fatalf("%s: GPP reference memo never consulted: %s", path, body)
-		}
+	code, body := get(t, ts, "/v1/stats")
+	if code != http.StatusOK {
+		t.Fatalf("%d %s", code, body)
+	}
+	var resp statsResponse
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Results.Misses != 1 || resp.Pool.Workers != 2 || resp.Pool.QueueDepth != 5 {
+		t.Fatalf("unexpected stats %s", body)
+	}
+	if resp.Refs.Misses == 0 {
+		t.Fatalf("GPP reference memo never consulted: %s", body)
 	}
 }
 
