@@ -2,7 +2,7 @@
 // scenario queries, scenario batches, and fleet-scale queries that draw
 // thousands of devices from seeded distributions and aggregate them into
 // percentile lifetime curves. All expensive state — the scenario worker
-// pool, the result and epoch memo stores, the GPP-reference memo — is
+// pool, the epoch memo store, the GPP-reference memo — is
 // shared across requests, so a fleet of 1000 devices over a few dozen
 // distinct configurations costs a few dozen simulations.
 //
@@ -20,7 +20,7 @@
 //
 //	cgra-lifetimed                       # listen on :8080
 //	cgra-lifetimed -addr 127.0.0.1:9000 -workers 8 -queue-depth 128
-//	cgra-lifetimed -memo-entries 16384   # larger result/epoch stores
+//	cgra-lifetimed -memo-entries 16384   # larger epoch store
 package main
 
 import (
@@ -79,7 +79,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 0, "scenario worker goroutines shared by all requests (0: all CPUs)")
 	queueDepth := fs.Int("queue-depth", 64, "bounded depth of the shared scenario work queue")
 	memoEntries := fs.Int("memo-entries", 4096,
-		"LRU capacity of the result store and the shared epoch store, each (negative: unbounded)")
+		"LRU capacity of the shared epoch store (negative: unbounded)")
 	grace := fs.Duration("shutdown-grace", 10*time.Second,
 		"how long in-flight requests may run after a shutdown signal")
 	if err := fs.Parse(args); err != nil {

@@ -13,7 +13,7 @@ import "fmt"
 //
 // Like Health and Wear, a Faults map is owned by one simulated fabric
 // instance and is not safe for concurrent mutation; Version increments on
-// every state change so epoch memos and caches can key on it.
+// every state change.
 type Faults struct {
 	geom    Geometry
 	prob    []float64
@@ -35,7 +35,7 @@ func (f *Faults) inRange(c Cell) bool {
 
 // Set assigns a cell's per-execution fault probability, clamped to [0, 1],
 // and reports whether the map changed (the version only advances on actual
-// change, so re-deriving an unchanged map keeps epoch memos valid).
+// change).
 // Out-of-range cells are ignored.
 func (f *Faults) Set(c Cell, p float64) bool {
 	if !f.inRange(c) {
@@ -69,13 +69,17 @@ func (f *Faults) At(c Cell) float64 {
 	return f.prob[c.Row*f.geom.Cols+c.Col]
 }
 
+// Probs returns the per-cell fault probabilities in row-major order. The
+// slice is the map's own storage: callers must not modify it.
+func (f *Faults) Probs() []float64 { return f.prob }
+
 // Risky reports whether any cell has a non-zero fault probability: the
 // injection layer's fast path skips per-cell draws entirely on a fully
 // reliable fabric.
 func (f *Faults) Risky() bool { return f.risky > 0 }
 
-// Version increments on every state change; the lifetime epoch memo keys on
-// it exactly like Health.Version and Wear.Version.
+// Version increments on every state change, like Health.Version and
+// Wear.Version.
 func (f *Faults) Version() uint64 { return f.version }
 
 // String summarises the map for debugging.

@@ -54,9 +54,8 @@ func TestFaultsVersionBumpsOnlyOnChange(t *testing.T) {
 	if f.Version() != v1 {
 		t.Error("version must not change on a no-op set")
 	}
-	// Clamped writes that land on the stored value are no-ops too: the
-	// epoch memo keys on this version, so a quiescent fault field must not
-	// force re-simulation.
+	// Clamped writes that land on the stored value are no-ops too: a
+	// quiescent fault field must not look changed.
 	f.Set(Cell{Row: 1, Col: 1}, 0)
 	if f.Version() != v1 {
 		t.Error("writing zero over zero must not move the version")

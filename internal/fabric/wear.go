@@ -64,8 +64,7 @@ func (w *Wear) Max() (float64, Cell) {
 }
 
 // Version increments on every state change; callers memoizing placement
-// decisions (or whole epoch outcomes) use it to invalidate their caches,
-// exactly like Health.Version.
+// decisions use it to invalidate their caches, exactly like Health.Version.
 func (w *Wear) Version() uint64 { return w.version }
 
 // CopyYears copies the per-cell stress-years (row-major) into dst, growing

@@ -127,3 +127,61 @@ func TestRepeatedRunsByteIdentical(t *testing.T) {
 		t.Fatalf("repeated runs differ:\n%s\n%s", aj, bj)
 	}
 }
+
+// noMemo is the memo-off oracle's epoch memo: every lookup re-simulates.
+type noMemo struct{}
+
+func (noMemo) GetOrCompute(_ any, compute func() (any, error)) (any, error) { return compute() }
+
+// runMemoOff runs a scenario with the run-local epoch memo switched off.
+func runMemoOff(sc Scenario) (*Result, error) {
+	saved := newRunMemo
+	newRunMemo = func() epochMemo { return noMemo{} }
+	defer func() { newRunMemo = saved }()
+	return Run(sc)
+}
+
+// TestMemoOnEqualsMemoOff pins epoch replay as a pure optimization: every
+// fault-free scenario of the batch yields the same Result with the
+// run-local memo as with every epoch re-simulated, once the Replayed marks
+// (which only the memo sets) are cleared. Fault/recovery scenarios are
+// excluded by design: there replay is the documented steady-state
+// approximation that re-uses the memoized epoch's fault draws.
+func TestMemoOnEqualsMemoOff(t *testing.T) {
+	marshal := func(r *Result) []byte {
+		for i := range r.Timeline {
+			r.Timeline[i].Replayed = false
+		}
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	compared, replayed := 0, 0
+	for i, sc := range batch() {
+		if sc.FaultModel != nil || sc.Recovery != nil {
+			continue
+		}
+		on, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range on.Timeline {
+			if rec.Replayed {
+				replayed++
+			}
+		}
+		off, err := runMemoOff(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := marshal(on), marshal(off); !bytes.Equal(a, b) {
+			t.Fatalf("scenario %d (%s): memo-on differs from memo-off:\non:  %s\noff: %s", i, on.Name, a, b)
+		}
+		compared++
+	}
+	if compared == 0 || replayed == 0 {
+		t.Fatalf("oracle is vacuous: %d scenarios compared, %d epochs replayed", compared, replayed)
+	}
+}

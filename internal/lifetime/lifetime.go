@@ -19,16 +19,18 @@
 //
 // The epoch outcome is a pure function of the fabric state the allocator
 // can observe (fresh allocator, cores and caches each epoch; the GPP
-// reference is memoized), so epochs between state changes are replayed from
-// memo instead of re-simulated — multi-decade horizons cost one
-// co-simulation per distinct fabric state. For health-only allocators that
-// state is the Health version; wear-adaptive allocators (alloc.WearSetter)
-// also see the accumulated fabric.Wear map, so their memo key includes the
-// wear version — wear accrues every epoch, which correctly forces those
-// scenarios to re-simulate as the placement search adapts.
+// reference is memoized), so each epoch is looked up under a digest of that
+// state's content (epochKey) and replays from memo instead of re-simulating
+// when the state was seen before — multi-decade horizons cost one
+// co-simulation per distinct fabric state. Health-only allocators observe the
+// dead mask; wear-adaptive allocators (alloc.WearSetter) also see the
+// accumulated fabric.Wear map — wear accrues every epoch, which correctly
+// forces those scenarios to re-simulate as the placement search adapts.
 package lifetime
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -119,25 +121,25 @@ type Scenario struct {
 	// batch-wide cache automatically.
 	Refs *dse.RefCache
 	// EpochMemo optionally shares epoch co-simulation outcomes across
-	// scenarios and requests through a content-addressed store: the
-	// fleet-scale service's generalization of the per-run epoch memo. It is
-	// consulted only when Fingerprint is set and the scenario has no
-	// recovery monitor — runEpoch mutates the monitor's cross-epoch state
-	// (suspect counters, quarantines, probation streaks), so a store hit
-	// that skipped it would diverge from a fresh computation; recovery
-	// scenarios keep the run-local fixed-point memo only. Store hits are
-	// byte-identical to fresh computation (they are not marked Replayed),
-	// so a warm and a cold store produce identical timelines.
+	// scenarios and requests: every epoch of a scenario with a Fingerprint
+	// and no recovery monitor is looked up here instead of in the run's own
+	// one-entry memo. Recovery scenarios never consult it — runEpoch mutates
+	// the monitor's cross-epoch state (suspect counters, quarantines,
+	// probation streaks), so a store hit that skipped it would diverge from a
+	// fresh computation. Store hits are byte-identical to fresh computation
+	// (they are not marked Replayed), so a warm and a cold store produce
+	// identical timelines.
 	EpochMemo *memostore.Store
-	// Fingerprint content-addresses the scenario for EpochMemo sharing. The
-	// caller must derive it from every outcome-affecting scenario parameter
-	// — geometry, allocator, mix, size, epoch length, operating-point
-	// profile, engine options, initial dead cells — with one deliberate
-	// exception: MaxYears may be excluded, because the epoch co-simulation
-	// never observes the horizon (two scenarios differing only in horizon
-	// share a trajectory prefix, which is exactly the sharing the store
-	// exists for). An under-descriptive fingerprint silently replays wrong
-	// epochs; when in doubt, include more. Empty disables the shared store.
+	// Fingerprint names the scenario's co-simulation inputs for EpochMemo
+	// sharing; it is hashed into every epoch key beside the observed fabric
+	// state. It must cover every parameter runEpoch reads — geometry,
+	// allocator, mix, size, engine options — and may leave out the rest:
+	// the horizon, the epoch length, the operating-point profile and the
+	// initial dead cells (those enter the key as health content). Scenarios
+	// that differ only in such inputs share every epoch whose observed state
+	// matches. An under-descriptive fingerprint silently replays wrong
+	// epochs; a field left in only costs sharing. Empty disables the shared
+	// store.
 	Fingerprint string
 	// Trace receives the run's observability event stream (see
 	// internal/trace): per-epoch resolution summaries, aging deaths, fault
@@ -329,8 +331,8 @@ type EpochRecord struct {
 	Speedup  float64 `json:"speedup"`
 	IPC      float64 `json:"ipc"`
 	Offloads uint64  `json:"offloads"`
-	// Replayed marks epochs whose co-simulation was reused from the memo
-	// because the fabric health did not change.
+	// Replayed marks epochs whose epoch key (observed fabric state) equals
+	// the previous epoch's, so the co-simulation was reused from the memo.
 	Replayed bool `json:"replayed,omitempty"`
 	// Fault/recovery activity of the epoch (omitted on fault-free runs):
 	// faulty executions, checker detections, silent-corruption escapes, and
@@ -437,27 +439,48 @@ func (r *Result) NthDeathYears(n int) float64 {
 	return r.DeathAges[n-1]
 }
 
-// stateKey is the epoch memo key: the versions of exactly the fabric state
-// the epoch's outcome is a pure function of, captured at epoch start.
-// Fields the scenario does not observe stay zero (wear for health-only
-// allocators, faults/mon without injection/recovery).
-type stateKey struct {
-	health, wear, faults, mon uint64
+// epochKey is the one epoch memo key: a SHA-256 digest of the canonical
+// bytes of the fabric state an epoch observes at its start, after the
+// scenario fingerprint (empty for run-local lookups). The state is the
+// health dead mask, always; the wear years when wear is non-nil
+// (wear-adaptive scenarios; health-only allocators never read wear); the
+// fault probabilities when faults is non-nil; and the monitor's version when
+// mon is non-nil. The monitor enters by version rather than content:
+// recovery scenarios never share epochs across runs (see
+// Scenario.EpochMemo), and inside one run its version stands for its
+// persistent state. Any later observable state enters the memo by entering
+// this digest.
+func epochKey(fp string, health *fabric.Health, wear *fabric.Wear, faults *fabric.Faults, mon *recov.Monitor) (key [sha256.Size]byte) {
+	h := sha256.New()
+	binary.Write(h, binary.LittleEndian, uint64(len(fp)))
+	h.Write([]byte(fp))
+	binary.Write(h, binary.LittleEndian, health.DeadMask())
+	if wear != nil {
+		binary.Write(h, binary.LittleEndian, wear.CopyYears(nil))
+	}
+	if faults != nil {
+		binary.Write(h, binary.LittleEndian, faults.Probs())
+	}
+	if mon != nil {
+		binary.Write(h, binary.LittleEndian, mon.Version())
+	}
+	h.Sum(key[:0])
+	return key
 }
 
-// epochMemoKey addresses one epoch outcome in the cross-request shared
-// store: the scenario's content fingerprint plus the observed-state
-// versions. Versions are only comparable within one deterministic
-// trajectory, which is what the fingerprint pins — two scenarios with the
-// same fingerprint replay the same trajectory, so equal version tuples mean
-// equal state content.
-type epochMemoKey struct {
-	fp string
-	st stateKey
+// epochMemo is the lookup every epoch goes through: the shared
+// memostore.Store or the run's own one-entry store.
+type epochMemo interface {
+	GetOrCompute(key any, compute func() (any, error)) (any, error)
 }
+
+// newRunMemo builds a run's own epoch memo. Holding one entry, it replays
+// an epoch exactly when the epoch's key equals the previous epoch's. Tests
+// replace it to run the memo-off oracle.
+var newRunMemo = func() epochMemo { return memostore.New(1) }
 
 // epochRun is the co-simulation outcome of one epoch: a pure function of
-// the fabric health state, so it is memoized across failure-free epochs.
+// the observed fabric state, so it is memoized under epochKey.
 type epochRun struct {
 	gppCycles uint64
 	trCycles  uint64
@@ -488,7 +511,7 @@ func Run(sc Scenario) (*Result, error) {
 	probe := sc.Factory(sc.Geom)
 	allocName := probe.Name()
 	// Wear-adaptive allocators observe the accumulated wear map, so their
-	// epoch outcomes depend on it and the memo key must include its version.
+	// epoch outcomes depend on it and the memo key must include its content.
 	// Shape-aware translation observes wear too (the ladder tie-break and
 	// the translation-cache keying read it), so such scenarios are
 	// wear-adaptive regardless of the allocator.
@@ -545,30 +568,23 @@ func Run(sc Scenario) (*Result, error) {
 		}
 	}
 
-	// The epoch memo key is the fabric state the epoch's outcome is a pure
-	// function of, captured at epoch start: health always, wear for
-	// wear-adaptive scenarios, and — per the PR 3/5 memo-key rule — the
-	// fault map and the monitor's persistent observable state for
-	// fault/recovery scenarios. While faults fire or the observed view
-	// shifts, consecutive keys differ and epochs re-simulate; once the
-	// state goes quiescent the key repeats and epochs replay, re-using the
-	// memoized epoch's draws as the steady-state approximation.
-	currentKey := func() stateKey {
-		k := stateKey{health: health.Version()}
-		if wearAware {
-			k.wear = wear.Version()
-		}
-		if faults != nil {
-			k.faults = faults.Version()
-		}
-		if mon != nil {
-			k.mon = mon.Version()
-		}
-		return k
+	// Every epoch does one memo lookup under epochKey: in the shared store
+	// for fault-free scenarios with a fingerprint, otherwise in the run's
+	// own one-entry memo. On the fault/recovery path that makes replay the
+	// documented steady-state approximation: while faults fire or the
+	// observed view shifts, consecutive keys differ and epochs re-simulate;
+	// once the state goes quiescent the key repeats and the epoch replays,
+	// re-using the memoized epoch's fault draws and recovery deltas.
+	memo, fp := newRunMemo(), ""
+	if mon == nil && sc.EpochMemo != nil && sc.Fingerprint != "" {
+		memo, fp = sc.EpochMemo, sc.Fingerprint
 	}
+	var keyWear *fabric.Wear
+	if wearAware {
+		keyWear = wear
+	}
+	var prevKey [sha256.Size]byte
 
-	var last *epochRun
-	var lastKey stateKey
 	years := 0.0
 	epochs := int(math.Ceil(sc.MaxYears/sc.EpochYears - 1e-9))
 
@@ -589,30 +605,11 @@ func Run(sc Scenario) (*Result, error) {
 		if faults != nil {
 			updateFaults(faults, wear, health, threshold, *sc.FaultModel)
 		}
-		key := currentKey()
-		run := last
-		replayed := run != nil && key == lastKey
+		key := epochKey(fp, health, keyWear, faults, mon)
+		replayed := epoch > 0 && key == prevKey
+		prevKey = key
 		var events []recov.Event
-		switch {
-		case replayed:
-			// Within-run fixed point: the previous epoch left the observed
-			// state unchanged, so its outcome repeats verbatim.
-		case mon == nil && sc.EpochMemo != nil && sc.Fingerprint != "":
-			// Cross-request shared memo. Sound only without a monitor:
-			// runEpoch is then side-effect-free on cross-epoch state (the
-			// controller and allocator are fresh per epoch, wear and health
-			// mutate outside), so substituting a stored outcome for the
-			// same (fingerprint, state-version) key is indistinguishable
-			// from computing it.
-			v, err := sc.EpochMemo.GetOrCompute(epochMemoKey{fp: sc.Fingerprint, st: key}, func() (any, error) {
-				return runEpoch(&sc, health, wear, nil)
-			})
-			if err != nil {
-				return nil, fmt.Errorf("lifetime: %s epoch %d: %w", sc.Name, epoch, err)
-			}
-			run, last = v.(*epochRun), v.(*epochRun)
-			lastKey = key
-		default:
+		v, err := memo.GetOrCompute(key, func() (any, error) {
 			statsBefore := recov.Stats{}
 			if mon != nil {
 				statsBefore = mon.Stats()
@@ -620,7 +617,7 @@ func Run(sc Scenario) (*Result, error) {
 			}
 			r, err := runEpoch(&sc, health, wear, mon)
 			if err != nil {
-				return nil, fmt.Errorf("lifetime: %s epoch %d: %w", sc.Name, epoch, err)
+				return nil, err
 			}
 			if mon != nil {
 				// Probation runs at the epoch boundary, after the mix:
@@ -634,9 +631,12 @@ func Run(sc Scenario) (*Result, error) {
 				r.recovery = mon.Stats().Sub(statsBefore)
 				events = mon.TakeEvents()
 			}
-			run, last = r, r
-			lastKey = key
+			return r, nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("lifetime: %s epoch %d: %w", sc.Name, epoch, err)
 		}
+		run := v.(*epochRun)
 		searchTotal.Add(run.search)
 		offloadTotal += run.offloads
 		trCyclesTotal += run.trCycles
@@ -888,8 +888,8 @@ func emitEpochEvents(sc *Scenario, run *epochRun, rec EpochRecord, events []reco
 // updateFaults re-derives the per-execution fault probabilities from the
 // accumulated wear: dead cells carry probability zero (hard death manifests
 // through ground truth directly), live cells ramp per the fault model.
-// fabric.Faults.Set only advances the version on actual change, so a
-// quiescent fabric keeps the epoch memo valid.
+// A quiescent fabric re-derives identical probabilities, so the epoch key
+// repeats and the epoch memo stays valid.
 func updateFaults(f *fabric.Faults, wear *fabric.Wear, health *fabric.Health, threshold float64, fm FaultModel) {
 	g := f.Geometry()
 	for r := 0; r < g.Rows; r++ {
@@ -956,7 +956,7 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 		}
 		// Recycling the core's memory through the pool is invisible to the
 		// epoch memo: the memo key is the observed fabric state (health,
-		// wear, faults, monitor versions), never anything reachable from
+		// wear, faults, monitor version), never anything reachable from
 		// the core, and a pooled memory is scrubbed back to zero before
 		// reuse — a memoized epoch and a re-simulated one read identical
 		// initial memory.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"agingcgra/internal/aging"
 	"agingcgra/internal/dse"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/memostore"
@@ -110,5 +111,94 @@ func TestSharedEpochMemoIgnoredWithRecovery(t *testing.T) {
 	st := store.Stats()
 	if st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("recovery scenario touched the shared epoch store: %+v", st)
+	}
+}
+
+// TestSharedEpochMemoSharesAcrossTrajectories pins the content key:
+// scenarios under one Fingerprint that differ in inputs the epoch
+// co-simulation never reads — operating point, phase profile, epoch length,
+// cells dead from the start — follow different trajectories, yet share every
+// epoch whose observed fabric state matches. Each variant must hit the store
+// warmed by the base scenario and still match its own cold run byte for
+// byte. A key built from state versions fails here: equal version tuples
+// stand for different states in different trajectories.
+func TestSharedEpochMemoSharesAcrossTrajectories(t *testing.T) {
+	hot := aging.DefaultConditions()
+	hot.TemperatureK = 365
+	// The baseline scenario's first aging deaths, injected as initial dead
+	// cells, put the variant straight into a state the base run observed.
+	coldBase := sharedMemoScenario(8)
+	coldBase.Fingerprint = ""
+	baseRes, err := Run(coldBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firstDeaths []fabric.Cell
+	for _, rec := range baseRes.Timeline {
+		if len(rec.Deaths) > 0 {
+			firstDeaths = rec.Deaths
+			break
+		}
+	}
+	if firstDeaths == nil {
+		t.Fatal("base scenario saw no deaths; lengthen its horizon")
+	}
+
+	cases := []struct {
+		name    string
+		factory dse.AllocatorFactory
+		vary    func(*Scenario)
+	}{
+		{"health/cond", dse.BaselineFactory, func(sc *Scenario) { sc.Cond = hot }},
+		{"health/profile", dse.BaselineFactory, func(sc *Scenario) {
+			sc.Profile = []Phase{{UntilYears: 2, Cond: aging.DefaultConditions()}, {UntilYears: 8, Cond: hot}}
+		}},
+		{"health/epoch", dse.BaselineFactory, func(sc *Scenario) { sc.EpochYears = 0.25 }},
+		{"health/initial-dead", dse.BaselineFactory, func(sc *Scenario) { sc.InitialDead = firstDeaths }},
+		{"wear/cond", dse.ExploreFactory, func(sc *Scenario) { sc.Cond = hot }},
+		{"wear/profile", dse.ExploreFactory, func(sc *Scenario) {
+			sc.Profile = []Phase{{UntilYears: 2, Cond: aging.DefaultConditions()}, {UntilYears: 8, Cond: hot}}
+		}},
+		{"wear/epoch", dse.ExploreFactory, func(sc *Scenario) { sc.EpochYears = 0.25 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() Scenario {
+				sc := sharedMemoScenario(8)
+				sc.Factory = tc.factory
+				return sc
+			}
+			store := memostore.New(0)
+			base := mk()
+			base.EpochMemo = store
+			if _, err := Run(base); err != nil {
+				t.Fatal(err)
+			}
+			hitsAfterBase := store.Stats().Hits
+
+			variant := mk()
+			tc.vary(&variant)
+			variant.EpochMemo = store
+			warmRes, err := Run(variant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if store.Stats().Hits == hitsAfterBase {
+				t.Fatalf("variant never hit the store the base scenario warmed: %+v", store.Stats())
+			}
+
+			cold := mk()
+			tc.vary(&cold)
+			cold.Fingerprint = ""
+			coldRes, err := Run(cold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _ := json.Marshal(warmRes)
+			b, _ := json.Marshal(coldRes)
+			if string(a) != string(b) {
+				t.Fatalf("store-assisted variant differs from its cold run:\nwarm %s\ncold %s", a, b)
+			}
+		})
 	}
 }

@@ -1,22 +1,23 @@
 // Package memostore is the concurrency-safe, content-addressed memo store
-// behind the fleet-scale lifetime service: a bounded LRU map from a
+// behind the lifetime simulator's epoch memo: a bounded LRU map from a
 // caller-chosen content key to an immutable computed value, with
-// single-flight computation and hit/miss/eviction counters.
+// single-flight computation and hit/miss/eviction counters. The fleet-scale
+// service shares one store of epoch outcomes across requests; each lifetime
+// run also keeps a one-entry store of its own.
 //
 // The store itself is policy-free — it does not know what a scenario or an
-// epoch is. The *keying discipline* is the caller's contract, and it is the
-// same rule the per-run epoch memo established in PRs 2–6: a key must cover
-// every input the cached computation's outcome is a pure function of
-// (scenario fingerprint, health version, wear version, faults/monitor
-// versions — whichever of those the computation observes). A key that
-// under-describes its inputs returns stale values silently; nothing in this
-// package can detect that.
+// epoch is. The *keying discipline* is the caller's contract: a key must
+// cover every input the cached computation's outcome is a pure function of.
+// The lifetime simulator meets it with one digest of the scenario's
+// co-simulation inputs and the observed fabric-state content (see
+// lifetime.epochKey). A key that under-describes its inputs returns stale
+// values silently; nothing in this package can detect that.
 //
 // Invariants later PRs must preserve:
 //
 //   - Values are immutable once stored. A value may be handed to any number
-//     of concurrent readers (fleet requests share one *lifetime.Result per
-//     distinct device key), so callers must never mutate a value obtained
+//     of concurrent readers (concurrent scenarios share one epoch outcome
+//     per distinct key), so callers must never mutate a value obtained
 //     from — or inserted into — the store.
 //   - GetOrCompute is single-flight per key: concurrent callers of the same
 //     key block on one computation instead of duplicating it, and the

@@ -139,12 +139,10 @@ func (r ScenarioRequest) normalized() ScenarioRequest {
 	return r
 }
 
-// resultKey keys the result-level store.
-type resultKey struct{ fp string }
-
-// fingerprint content-addresses the full request for the result store:
-// canonical JSON of the normalized request, covering every field that can
-// influence the response bytes (including Name and MaxYears).
+// fingerprint content-addresses the full request: canonical JSON of the
+// normalized request, covering every field that can influence the response
+// bytes (including Name and MaxYears). Fleet queries deduplicate their
+// drawn devices on it.
 func (r ScenarioRequest) fingerprint() string {
 	b, err := json.Marshal(r.normalized())
 	if err != nil {
@@ -154,16 +152,26 @@ func (r ScenarioRequest) fingerprint() string {
 	return string(b)
 }
 
-// epochFingerprint content-addresses the scenario for the shared epoch
-// store. It drops Name (a label, invisible to the co-simulation) and
-// MaxYears (the epoch loop never observes the horizon, so scenarios that
-// differ only in horizon share a trajectory prefix — the sharing the store
-// exists for). Only called for fault-free, recovery-free scenarios, where
-// Seed/Faults/Recovery are already normalized away.
+// epochFingerprint names the scenario's co-simulation inputs for the shared
+// epoch store (lifetime.Scenario.Fingerprint). It is a drop-list over the
+// normalized request: fields one epoch's co-simulation never reads are
+// zeroed, so scenarios that differ only in them share epoch outcomes.
+//
+//   - Name is a label and MaxYears the horizon, which the epoch loop never
+//     observes.
+//   - EpochYears, Profile, TemperatureK and Vdd only change how wear
+//     accrues between epochs; wear-adaptive scenarios key on the wear
+//     itself.
+//   - DeadPattern's cells enter the epoch key as health content.
+//
+// A field left in costs sharing, never correctness. Seed, Faults and
+// Recovery stay in; scenarios with a recovery monitor never consult the
+// shared store anyway.
 func (r ScenarioRequest) epochFingerprint() string {
 	n := r.normalized()
-	n.Name = ""
-	n.MaxYears = 0
+	n.Name, n.MaxYears = "", 0
+	n.EpochYears, n.Profile, n.TemperatureK, n.Vdd = 0, nil, 0, 0
+	n.DeadPattern = ""
 	b, err := json.Marshal(n)
 	if err != nil {
 		panic(fmt.Sprintf("service: fingerprinting scenario: %v", err))
@@ -171,31 +179,29 @@ func (r ScenarioRequest) epochFingerprint() string {
 	return string(b)
 }
 
-// runScenario resolves, runs and memoizes one scenario. The result comes
-// from the result-level store when an identical request already ran;
-// otherwise the run consults the shared epoch store (fault-free scenarios
-// only — a recovery monitor's cross-epoch state makes epoch outcomes
-// non-shareable) and the shared GPP-reference memo. Results are immutable
-// once stored; callers only read and marshal them.
-func (s *Server) runScenario(req ScenarioRequest) (*ResultJSON, error) {
+// scenario resolves a request into the lifetime.Scenario every endpoint
+// runs, wired to the server's shared GPP-reference memo and epoch store.
+func (s *Server) scenario(req ScenarioRequest) (lifetime.Scenario, error) {
 	cfg, err := req.config()
 	if err != nil {
-		return nil, err
+		return lifetime.Scenario{}, err
 	}
 	sc, err := cfg.Scenario()
 	if err != nil {
-		return nil, err
+		return lifetime.Scenario{}, err
 	}
 	sc.Refs = s.refs
-	if req.Faults == nil && req.Recovery == nil {
-		sc.EpochMemo = s.epochs
-		sc.Fingerprint = req.epochFingerprint()
-	}
-	v, err := s.results.GetOrCompute(resultKey{fp: req.fingerprint()}, func() (any, error) {
-		return lifetime.Run(sc)
-	})
+	sc.EpochMemo = s.epochs
+	sc.Fingerprint = req.epochFingerprint()
+	return sc, nil
+}
+
+// runScenario resolves and runs one scenario. Results are immutable once
+// returned; callers only read and marshal them.
+func (s *Server) runScenario(req ScenarioRequest) (*ResultJSON, error) {
+	sc, err := s.scenario(req)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*ResultJSON), nil
+	return lifetime.Run(sc)
 }

@@ -2,18 +2,20 @@
 // cmd/cgra-lifetimed: an HTTP/JSON front end over the lifetime simulator
 // with all expensive state shared across requests.
 //
-// A Server owns four long-lived pieces:
+// A Server owns three long-lived pieces:
 //
 //   - a persistent dse.Pool: every scenario — single query, batch item or
 //     fleet combo — runs on the same bounded worker pool, so concurrent
 //     requests share backpressure instead of each spawning goroutines;
-//   - a result store (memostore.Store): full-request fingerprint →
-//     *lifetime.Result, so a repeated scenario is served from memory;
-//   - an epoch store (memostore.Store): (epoch fingerprint, state-version
-//     key) → epoch outcome, shared through lifetime.Scenario.EpochMemo, so
-//     scenarios that differ only in horizon (or repeat across requests)
-//     reuse each other's epoch co-simulations;
+//   - an epoch store (memostore.Store): digest of (epoch fingerprint,
+//     observed fabric-state content) → epoch outcome, shared through
+//     lifetime.Scenario.EpochMemo, so scenarios that differ only in
+//     horizon, epoch length, operating-point profile or dead-pattern name
+//     (or repeat across requests) reuse each other's epoch co-simulations;
 //   - a GPP-reference memo (dse.RefCache), shared the same way.
+//
+// The epoch store is the one memo of simulation results: a repeated
+// request re-runs its epoch loop, and every epoch hits the store.
 //
 // Contract: every response is a pure function of (request body, seed) — a
 // fleet query returns byte-identical JSON at any worker count and any
@@ -53,19 +55,18 @@ type Options struct {
 	Workers int
 	// QueueDepth bounds the pool's pending-work queue (default 64).
 	QueueDepth int
-	// MemoEntries is the LRU capacity of the result store and the shared
-	// epoch store, each (default 4096; negative: unbounded).
+	// MemoEntries is the LRU capacity of the shared epoch store (default
+	// 4096; negative: unbounded).
 	MemoEntries int
 }
 
 // Server is the shared state behind all endpoints. Create with New, serve
 // via Handler, release the worker pool with Close.
 type Server struct {
-	pool    *dse.Pool
-	results *memostore.Store
-	epochs  *memostore.Store
-	refs    *dse.RefCache
-	mux     *http.ServeMux
+	pool   *dse.Pool
+	epochs *memostore.Store
+	refs   *dse.RefCache
+	mux    *http.ServeMux
 }
 
 // New builds a Server and its shared pool and stores.
@@ -81,10 +82,9 @@ func New(o Options) *Server {
 		entries = 0 // memostore convention: <= 0 is unbounded
 	}
 	s := &Server{
-		pool:    dse.NewPool(o.Workers, o.QueueDepth),
-		results: memostore.New(entries),
-		epochs:  memostore.New(entries),
-		refs:    dse.NewRefCache(),
+		pool:   dse.NewPool(o.Workers, o.QueueDepth),
+		epochs: memostore.New(entries),
+		refs:   dse.NewRefCache(),
 	}
 	mux := http.NewServeMux()
 	s.route(mux, "/healthz", http.MethodGet, s.handleHealthz)
@@ -262,10 +262,9 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 // the pool shape. These are process-lifetime values — deliberately outside
 // the per-request determinism contract.
 type statsResponse struct {
-	Results memostore.Stats `json:"results"`
-	Epochs  memostore.Stats `json:"epochs"`
-	Refs    memostore.Stats `json:"refs"`
-	Pool    poolStats       `json:"pool"`
+	Epochs memostore.Stats `json:"epochs"`
+	Refs   memostore.Stats `json:"refs"`
+	Pool   poolStats       `json:"pool"`
 }
 
 type poolStats struct {
@@ -275,9 +274,8 @@ type poolStats struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, statsResponse{
-		Results: s.results.Stats(),
-		Epochs:  s.epochs.Stats(),
-		Refs:    s.refs.Stats(),
-		Pool:    poolStats{Workers: s.pool.Workers(), QueueDepth: s.pool.Depth()},
+		Epochs: s.epochs.Stats(),
+		Refs:   s.refs.Stats(),
+		Pool:   poolStats{Workers: s.pool.Workers(), QueueDepth: s.pool.Depth()},
 	})
 }

@@ -86,12 +86,14 @@ func TestLifetimeHappyPath(t *testing.T) {
 func TestRepeatRequestIsByteIdenticalAndMemoized(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 	_, first := post(t, ts, "/v1/lifetime", fastScenario)
+	missesAfterFirst := s.epochs.Stats().Misses
 	_, second := post(t, ts, "/v1/lifetime", fastScenario)
 	if first != second {
 		t.Fatal("repeated identical request returned different bytes")
 	}
-	if st := s.results.Stats(); st.Hits == 0 || st.Misses != 1 {
-		t.Fatalf("second request should hit the result store: %+v", st)
+	if st := s.epochs.Stats(); st.Hits == 0 || st.Misses != missesAfterFirst {
+		t.Fatalf("repeat request should be served by the epoch store (%d misses after the first): %+v",
+			missesAfterFirst, st)
 	}
 }
 
@@ -179,10 +181,17 @@ func TestBatchOrderAndDedup(t *testing.T) {
 		t.Fatalf("results out of order: %s / %s / %s",
 			resp.Results[0].Name, resp.Results[1].Name, resp.Results[2].Name)
 	}
-	// Scenarios 0 and 2 are identical: the result store must have served
-	// one of them.
-	if st := s.results.Stats(); st.Misses != 2 || st.Hits != 1 {
-		t.Fatalf("batch dedupe: %+v", st)
+	// Scenarios 0 and 2 are identical: the repeat must add no epoch-store
+	// misses over a batch without it.
+	ref, refTS := newTestServer(t, Options{Workers: 4})
+	if code, out := post(t, refTS, "/v1/batch", fmt.Sprintf(`{"scenarios": [%s, %s]}`,
+		`{"name": "a", "rows": 2, "cols": 8, "benchmarks": ["crc32"], "max_years": 2}`,
+		`{"name": "b", "rows": 2, "cols": 8, "benchmarks": ["crc32"], "max_years": 2, "allocator": "utilization-aware"}`)); code != http.StatusOK {
+		t.Fatalf("reference batch: %d %s", code, out)
+	}
+	got, want := s.epochs.Stats(), ref.epochs.Stats()
+	if got.Misses != want.Misses || got.Hits <= want.Hits {
+		t.Fatalf("batch dedupe: with repeat %+v, without %+v", got, want)
 	}
 }
 
@@ -290,6 +299,45 @@ func TestFleetThousandDevicesHitRate(t *testing.T) {
 	}
 }
 
+// TestFleetProfileSharesEpochs pins what the content-keyed epoch store buys
+// a fleet: devices that differ only in operating-point profile share every
+// epoch whose observed fabric state matches. A health-only allocator over a
+// horizon in which no cell dies observes one state per mix throughout, so
+// adding a cooler profile to the fleet must add no epoch-store misses.
+func TestFleetProfileSharesEpochs(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	const base = `"devices": 40, "seed": 5,
+	  "base": {"rows": 2, "cols": 8, "max_years": 2},
+	  "mixes": [{"benchmarks": ["crc32"]}, {"benchmarks": ["sha"]}]`
+	send := func(body string) FleetResponse {
+		t.Helper()
+		code, out := post(t, ts, "/v1/fleet", body)
+		if code != http.StatusOK {
+			t.Fatalf("fleet: %d %s", code, out)
+		}
+		var resp FleetResponse
+		if err := json.Unmarshal([]byte(out), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Deaths[0].Survivors != resp.Devices {
+			t.Fatalf("a cell died within the horizon, so the miss count is not exact: %+v", resp.Deaths)
+		}
+		return resp
+	}
+	first := send(`{` + base + `}`)
+	misses := s.epochs.Stats().Misses
+	withCooler := send(`{` + base + `,
+	  "profiles": [{"phases": [{"until_years": 2}]},
+	               {"phases": [{"until_years": 2, "temperature_k": 320}]}]}`)
+	if withCooler.Combos <= first.Combos {
+		t.Fatalf("the cooler profile drew no new combos (%d vs %d); the check is vacuous",
+			withCooler.Combos, first.Combos)
+	}
+	if st := s.epochs.Stats(); st.Misses != misses {
+		t.Fatalf("a temperature-only profile added %d epoch misses (%+v)", st.Misses-misses, st)
+	}
+}
+
 func TestCancellationMidBatch(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 0})
 	defer s.Close()
@@ -343,8 +391,15 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Results.Misses != 1 || resp.Pool.Workers != 2 || resp.Pool.QueueDepth != 5 {
+	if resp.Epochs.Misses == 0 || resp.Pool.Workers != 2 || resp.Pool.QueueDepth != 5 {
 		t.Fatalf("unexpected stats %s", body)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["results"]; ok {
+		t.Fatalf("stats still report a result store: %s", body)
 	}
 	if resp.Refs.Misses == 0 {
 		t.Fatalf("GPP reference memo never consulted: %s", body)

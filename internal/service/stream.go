@@ -29,11 +29,10 @@ type streamErrorLine struct {
 //
 // The stream is a pure function of (request body, seed): the simulator's
 // event-determinism contract makes the bytes identical at any worker
-// count and any epoch-store temperature. The run deliberately bypasses
-// the result store — a result-store hit would skip the simulation and
-// with it every event — but still feeds and consults the shared epoch
-// store and GPP-reference memo, so streamed scenarios stay cheap and
-// keep warming the same state as everything else.
+// count and any epoch-store temperature. The run feeds and consults the
+// shared epoch store and GPP-reference memo like every other endpoint, so
+// streamed scenarios stay cheap and keep warming the same state as
+// everything else.
 //
 // Cancellation follows the pool contract: a disconnected client's queued
 // run is skipped (nothing was sent, so the handler reports 499
@@ -45,20 +44,10 @@ func (s *Server) handleLifetimeStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	cfg, err := req.config()
+	sc, err := s.scenario(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	sc, err := cfg.Scenario()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sc.Refs = s.refs
-	if req.Faults == nil && req.Recovery == nil {
-		sc.EpochMemo = s.epochs
-		sc.Fingerprint = req.epochFingerprint()
 	}
 
 	flusher, _ := w.(http.Flusher)

@@ -79,9 +79,8 @@ func TestStreamHappyPath(t *testing.T) {
 
 // TestStreamDeterminism pins the endpoint's contract: byte-identical
 // NDJSON at any worker count and any epoch-store temperature — including
-// the events re-emitted from memo-replayed epochs, and regardless of a
-// warm result store (the stream bypasses it, so events never disappear
-// behind a result-store hit).
+// the events re-emitted from memo-replayed epochs, and regardless of which
+// endpoint warmed the epoch store.
 func TestStreamDeterminism(t *testing.T) {
 	// Cold server, serial pool.
 	_, serial := newTestServer(t, Options{Workers: 1})
@@ -93,13 +92,13 @@ func TestStreamDeterminism(t *testing.T) {
 		t.Fatal("warm epoch store changed the stream bytes")
 	}
 
-	// Fresh server with a parallel pool and a result store pre-warmed by
+	// Fresh server with a parallel pool and an epoch store pre-warmed by
 	// the non-streaming endpoint.
 	_, parallel := newTestServer(t, Options{Workers: 8})
 	post(t, parallel, "/v1/lifetime", fastScenario)
 	_, par := streamBody(t, parallel, fastScenario)
 	if cold != par {
-		t.Fatal("parallel pool / warm result store changed the stream bytes")
+		t.Fatal("parallel pool / epoch store warmed by /v1/lifetime changed the stream bytes")
 	}
 }
 
