@@ -297,9 +297,9 @@ type LifetimeConfig struct {
 	// ShapeTranslations enables translation-time shape search: the DBT
 	// maps each hot trace over the candidate shape ladder against current
 	// health and wear instead of only the identity full-fabric shape, and
-	// the translation cache is keyed on the (health, wear) versions the
-	// shape decisions were taken under. Mutually exclusive with
-	// StaleTranslations.
+	// the translation cache is keyed on the health version the shape
+	// decisions were taken under (wear is fixed within an epoch).
+	// Mutually exclusive with StaleTranslations.
 	ShapeTranslations bool
 	// ShapeLadder names the candidate shape ladder ("halving", "full-only",
 	// "columns", "rows", "fine"; empty: halving) shared by the
@@ -454,7 +454,7 @@ func RunLifetime(c LifetimeConfig) (*LifetimeResult, error) {
 }
 
 // RunLifetimes simulates a batch of scenarios over a worker pool (workers
-// <= 0 selects all CPUs, 1 forces the serial path). Results are ordered by
+// <= 0 selects runtime.GOMAXPROCS(0), 1 forces the serial path). Results are ordered by
 // scenario index and byte-identical between serial and parallel runs.
 func RunLifetimes(cs []LifetimeConfig, workers int) ([]*LifetimeResult, error) {
 	scs := make([]lifetime.Scenario, len(cs))

@@ -318,7 +318,7 @@ func benchFig6Sweep(size agingcgra.Size) (serial, parallel Result, err error) {
 	if err != nil {
 		return Result{}, Result{}, err
 	}
-	timeN, err := timeFig6(size, 0) // 0 = all CPUs
+	timeN, err := timeFig6(size, 0) // 0 = GOMAXPROCS
 	if err != nil {
 		return Result{}, Result{}, err
 	}

@@ -76,7 +76,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("cgra-lifetimed", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-	workers := fs.Int("workers", 0, "scenario worker goroutines shared by all requests (0: all CPUs)")
+	workers := fs.Int("workers", 0, "scenario worker goroutines shared by all requests (0: GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", 64, "bounded depth of the shared scenario work queue")
 	memoEntries := fs.Int("memo-entries", 4096,
 		"LRU capacity of the shared epoch store (negative: unbounded)")

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"agingcgra"
@@ -27,91 +28,104 @@ var paperTable1 = map[string][3]float64{
 var paperImprovements = map[string]float64{"BE": 2.29, "BP": 4.37, "BU": 7.97}
 
 func main() {
-	sizeName := flag.String("size", "small", "input size: tiny, small, large")
-	exp := flag.String("exp", "all", "experiment: fig1, fig6, fig7, fig8, table1, table2 or all")
-	workers := flag.Int("workers", 0, "parallel design points (0 = all CPUs, 1 = serial)")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "cgra-repro:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the testable entry point: it parses args and writes the whole
+// reproduction report to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("cgra-repro", flag.ContinueOnError)
+	sizeName := fs.String("size", "small", "input size: tiny, small, large")
+	exp := fs.String("exp", "all", "experiment: fig1, fig6, fig7, fig8, table1, table2 or all")
+	workers := fs.Int("workers", 0, "parallel design points (0 = GOMAXPROCS, 1 = serial)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	size, err := parseSize(*sizeName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	opt := agingcgra.ExperimentOptions{Size: size, Workers: *workers}
 
-	fmt.Println("Reproduction of: Proactive Aging Mitigation in CGRAs through")
-	fmt.Println("Utilization-Aware Allocation (Brandalero et al., DAC 2020)")
-	fmt.Printf("workload scale: %v\n\n", size)
+	fmt.Fprintln(w, "Reproduction of: Proactive Aging Mitigation in CGRAs through")
+	fmt.Fprintln(w, "Utilization-Aware Allocation (Brandalero et al., DAC 2020)")
+	fmt.Fprintf(w, "workload scale: %v\n\n", size)
 
-	fmt.Println("validating the workload suite against its Go references...")
+	fmt.Fprintln(w, "validating the workload suite against its Go references...")
 	if err := agingcgra.ValidateSuiteSmall(size); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println("all 10 benchmarks validated.")
-	fmt.Println()
+	fmt.Fprintln(w, "all 10 benchmarks validated.")
+	fmt.Fprintln(w)
 
-	run := func(name string) bool { return *exp == "all" || *exp == name }
+	selected := func(name string) bool { return *exp == "all" || *exp == name }
 
-	if run("fig1") {
+	if selected("fig1") {
 		r, err := agingcgra.Fig1(opt)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(r.Render())
-		fmt.Println("paper: 100% top-left corner decaying to 1% bottom-right.")
-		fmt.Println()
+		fmt.Fprintln(w, r.Render())
+		fmt.Fprintln(w, "paper: 100% top-left corner decaying to 1% bottom-right.")
+		fmt.Fprintln(w)
 	}
-	if run("fig6") {
+	if selected("fig6") {
 		r, err := agingcgra.Fig6(opt)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(r.Render())
-		fmt.Println("paper: BE=(L16,W2) 2.14x speedup 0.90x energy; BP=(L32,W4) 2.45x, 1.20x;")
-		fmt.Println("       BU=(L32,W8) 2.45x, 1.46x; occupations 39.7% / 17.8% / 8.9%.")
-		fmt.Println()
+		fmt.Fprintln(w, r.Render())
+		fmt.Fprintln(w, "paper: BE=(L16,W2) 2.14x speedup 0.90x energy; BP=(L32,W4) 2.45x, 1.20x;")
+		fmt.Fprintln(w, "       BU=(L32,W8) 2.45x, 1.46x; occupations 39.7% / 17.8% / 8.9%.")
+		fmt.Fprintln(w)
 	}
-	if run("fig7") {
+	if selected("fig7") {
 		r, err := agingcgra.Fig7(opt)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(r.Render())
-		fmt.Println("paper: max utilization drops from 94.5% to 41.2% on the BE design.")
-		fmt.Println()
+		fmt.Fprintln(w, r.Render())
+		fmt.Fprintln(w, "paper: max utilization drops from 94.5% to 41.2% on the BE design.")
+		fmt.Fprintln(w)
 	}
-	if run("fig8") {
+	if selected("fig8") {
 		r, err := agingcgra.Fig8(opt)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(r.Render())
-		fmt.Println("paper: larger fabrics show wider baseline spreads and bigger gains;")
-		fmt.Println("       BE baseline hits 10% delay at ~3 years, proposed at ~7 years.")
-		fmt.Println()
+		fmt.Fprintln(w, r.Render())
+		fmt.Fprintln(w, "paper: larger fabrics show wider baseline spreads and bigger gains;")
+		fmt.Fprintln(w, "       BE baseline hits 10% delay at ~3 years, proposed at ~7 years.")
+		fmt.Fprintln(w)
 	}
-	if run("table1") {
+	if selected("table1") {
 		r, err := agingcgra.Table1(opt)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(r.Render())
-		fmt.Println("paper vs measured (lifetime improvement):")
+		fmt.Fprintln(w, r.Render())
+		fmt.Fprintln(w, "paper vs measured (lifetime improvement):")
 		for _, row := range r.Rows {
 			name := row.Scenario.String()
 			p := paperTable1[name]
-			fmt.Printf("  %s: paper avg %.1f%% worst %.1f%%->%.1f%% improv %.2fx | measured avg %.1f%% worst %.1f%%->%.1f%% improv %.2fx\n",
+			fmt.Fprintf(w, "  %s: paper avg %.1f%% worst %.1f%%->%.1f%% improv %.2fx | measured avg %.1f%% worst %.1f%%->%.1f%% improv %.2fx\n",
 				name, 100*p[0], 100*p[1], 100*p[2], paperImprovements[name],
 				100*row.AvgUtil, 100*row.BaselineWorst, 100*row.ProposedWorst, row.LifetimeImprovement)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	if run("table2") {
+	if selected("table2") {
 		r := agingcgra.Table2()
-		fmt.Println(r.Render())
-		fmt.Println("paper: 28,995 -> 30,199 um2 (+4.15%), 79,540 -> 83,083 cells (+4.45%),")
-		fmt.Println("       120 ps column latency unchanged.")
-		fmt.Println()
+		fmt.Fprintln(w, r.Render())
+		fmt.Fprintln(w, "paper: 28,995 -> 30,199 um2 (+4.15%), 79,540 -> 83,083 cells (+4.45%),")
+		fmt.Fprintln(w, "       120 ps column latency unchanged.")
+		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 func parseSize(s string) (agingcgra.Size, error) {
@@ -124,9 +138,4 @@ func parseSize(s string) (agingcgra.Size, error) {
 		return agingcgra.Large, nil
 	}
 	return 0, fmt.Errorf("unknown size %q", s)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cgra-repro:", err)
-	os.Exit(1)
 }

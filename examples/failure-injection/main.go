@@ -97,7 +97,6 @@ func run(bench *prog.Benchmark, geom fabric.Geometry, health *fabric.Health, all
 		Geom:      geom,
 		Allocator: a,
 		Health:    health,
-		Wear:      fabric.NewWear(geom),
 	})
 	if err != nil {
 		log.Fatal(err)

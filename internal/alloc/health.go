@@ -36,6 +36,11 @@ type HealthSetter interface {
 // SetWear. Within-run stress feedback stays on StressObserver — the wear map
 // carries the multi-year history the lifetime simulator accrues between
 // epochs, which a fresh per-epoch allocator could not otherwise see.
+//
+// The map does not change while a consumer is alive: the lifetime
+// simulator adds wear only between epochs and builds a fresh allocator for
+// every epoch. A consumer may therefore read it once, in SetWear, and keep
+// no version check.
 type WearSetter interface {
 	SetWear(*fabric.Wear)
 }

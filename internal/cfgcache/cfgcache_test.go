@@ -220,20 +220,20 @@ func TestDenseLookupKeepsStatsAndRecency(t *testing.T) {
 }
 
 // TestRemapCacheVersionedFlush pins the shape-cache contract: entries are
-// reused while the (health, wear) versions stand still, any version change
-// flushes the whole cache (every entry was searched under the old fabric
+// reused while the health version stands still, a version change flushes
+// the whole cache (every entry was searched under the old fabric
 // state), and negative outcomes are memoized like positive ones.
 func TestRemapCacheVersionedFlush(t *testing.T) {
 	rc := NewRemapCache()
-	if _, ok := rc.Lookup(0x1000, 1, 1); ok {
+	if _, ok := rc.Lookup(0x1000, 1); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	rc.Insert(0x1000, 1, 1, RemapEntry{Cfg: cfg(0x1000), Off: fabric.Offset{Row: 1}, OK: true})
-	rc.Insert(0x2000, 1, 1, RemapEntry{OK: false}) // negative result
-	if e, ok := rc.Lookup(0x1000, 1, 1); !ok || !e.OK || e.Off.Row != 1 {
+	rc.Insert(0x1000, 1, RemapEntry{Cfg: cfg(0x1000), Off: fabric.Offset{Row: 1}, OK: true})
+	rc.Insert(0x2000, 1, RemapEntry{OK: false}) // negative result
+	if e, ok := rc.Lookup(0x1000, 1); !ok || !e.OK || e.Off.Row != 1 {
 		t.Fatalf("positive entry lost: %+v ok=%v", e, ok)
 	}
-	if e, ok := rc.Lookup(0x2000, 1, 1); !ok || e.OK {
+	if e, ok := rc.Lookup(0x2000, 1); !ok || e.OK {
 		t.Fatalf("negative entry lost: %+v ok=%v", e, ok)
 	}
 	if rc.Len() != 2 {
@@ -241,17 +241,17 @@ func TestRemapCacheVersionedFlush(t *testing.T) {
 	}
 
 	// Health version moves: both entries are stale.
-	if _, ok := rc.Lookup(0x1000, 2, 1); ok {
+	if _, ok := rc.Lookup(0x1000, 2); ok {
 		t.Fatal("stale entry survived a health version change")
 	}
 	if rc.Len() != 0 {
 		t.Fatalf("len after flush = %d, want 0", rc.Len())
 	}
-	rc.Insert(0x1000, 2, 1, RemapEntry{OK: true})
+	rc.Insert(0x1000, 2, RemapEntry{OK: true})
 
-	// Wear version moves: flushed again.
-	if _, ok := rc.Lookup(0x1000, 2, 2); ok {
-		t.Fatal("stale entry survived a wear version change")
+	// A second move flushes again.
+	if _, ok := rc.Lookup(0x1000, 3); ok {
+		t.Fatal("stale entry survived a second health version change")
 	}
 	st := rc.Stats()
 	if st.Flushes != 2 {
@@ -264,25 +264,25 @@ func TestRemapCacheVersionedFlush(t *testing.T) {
 
 // TestSyncStateFlushesOnVersionMove pins the translation-cache state
 // keying behind shape-aware translation, mirroring RemapCache: the first
-// SyncState only records the (health, wear) versions, an unchanged state
-// keeps every entry, and any version move flushes wholesale — dense table
+// SyncState only records the health version, an unchanged state keeps
+// every entry, and a version move flushes wholesale — dense table
 // included — and counts a flush.
 func TestSyncStateFlushesOnVersionMove(t *testing.T) {
 	c := New(8)
 	c.EnableDense(0x1000, 16)
-	if c.SyncState(1, 0) {
+	if c.SyncState(1) {
 		t.Error("first SyncState flushed; it should only record the state")
 	}
 	c.Insert(cfg(0x1000))
 	c.Insert(cfg(0x1008))
-	if c.SyncState(1, 0) {
+	if c.SyncState(1) {
 		t.Error("unchanged state flushed")
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
 
-	if !c.SyncState(2, 0) {
+	if !c.SyncState(2) {
 		t.Error("health version move did not flush")
 	}
 	if c.Len() != 0 {
@@ -293,15 +293,15 @@ func TestSyncStateFlushesOnVersionMove(t *testing.T) {
 	}
 
 	c.Insert(cfg(0x1000))
-	if !c.SyncState(2, 7) {
-		t.Error("wear version move did not flush")
+	if !c.SyncState(3) {
+		t.Error("second health version move did not flush")
 	}
 	if got := c.Stats().Flushes; got != 2 {
 		t.Errorf("flushes = %d, want 2", got)
 	}
 
 	// An empty cache observing a move records it without counting a flush.
-	if c.SyncState(3, 7) {
+	if c.SyncState(4) {
 		t.Error("empty cache reported a flush")
 	}
 }

@@ -12,15 +12,14 @@ import "agingcgra/internal/fabric"
 // under one fabric state — deliberately held, like the explorer's pivot
 // hold period, rather than re-ranked as within-run duty drifts. Entries
 // are keyed by the configuration's StartPC and valid for exactly one
-// (health version, wear version) pair: a cell death invalidates which
-// placements exist, a wear advance invalidates which placement the wear
-// scoring prefers, so any version change flushes the cache wholesale
-// (versions only grow; every entry is stale). Negative results are cached
+// health version: a cell death invalidates which placements exist, so a
+// version change flushes the cache wholesale (versions only grow; every
+// entry is stale). Wear is not part of the key: it is fixed for the
+// lifetime of the allocator that owns the cache. Negative results are cached
 // too — a region no shape can place stays on the GPP without re-searching
 // until the fabric state changes.
 type RemapCache struct {
 	healthVer uint64
-	wearVer   uint64
 	valid     bool
 	entries   map[uint32]RemapEntry
 	stats     RemapStats
@@ -49,21 +48,21 @@ func NewRemapCache() *RemapCache {
 
 // sync flushes the cache when the observed fabric state moved past the one
 // the entries were computed for.
-func (rc *RemapCache) sync(healthVer, wearVer uint64) {
-	if rc.valid && rc.healthVer == healthVer && rc.wearVer == wearVer {
+func (rc *RemapCache) sync(healthVer uint64) {
+	if rc.valid && rc.healthVer == healthVer {
 		return
 	}
 	if len(rc.entries) > 0 {
 		rc.entries = make(map[uint32]RemapEntry)
 		rc.stats.Flushes++
 	}
-	rc.healthVer, rc.wearVer, rc.valid = healthVer, wearVer, true
+	rc.healthVer, rc.valid = healthVer, true
 }
 
 // Lookup returns the memoized outcome for the region starting at pc under
-// the given fabric state, if one is cached.
-func (rc *RemapCache) Lookup(pc uint32, healthVer, wearVer uint64) (RemapEntry, bool) {
-	rc.sync(healthVer, wearVer)
+// the given health version, if one is cached.
+func (rc *RemapCache) Lookup(pc uint32, healthVer uint64) (RemapEntry, bool) {
+	rc.sync(healthVer)
 	e, ok := rc.entries[pc]
 	if ok {
 		rc.stats.Hits++
@@ -74,8 +73,8 @@ func (rc *RemapCache) Lookup(pc uint32, healthVer, wearVer uint64) (RemapEntry, 
 }
 
 // Insert memoizes a shape-search outcome for the region starting at pc.
-func (rc *RemapCache) Insert(pc uint32, healthVer, wearVer uint64, e RemapEntry) {
-	rc.sync(healthVer, wearVer)
+func (rc *RemapCache) Insert(pc uint32, healthVer uint64, e RemapEntry) {
+	rc.sync(healthVer)
 	rc.entries[pc] = e
 }
 

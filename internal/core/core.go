@@ -196,7 +196,8 @@ func (c *Controller) Health() *fabric.Health { return c.health }
 // steer new configurations away from the most-degraded FUs. The controller
 // itself never rejects a placement on wear — unlike a dead cell, a worn
 // cell still computes correctly — so unlike SetHealth this only feeds the
-// allocator.
+// allocator. The map must not change while the controller is in use (see
+// alloc.WearSetter).
 func (c *Controller) SetWear(w *fabric.Wear) {
 	c.wear = w
 	if ws, ok := c.alloc.(alloc.WearSetter); ok {

@@ -87,15 +87,6 @@ type Options struct {
 	// (false) re-translates against current health, modelling a DBT flushed
 	// on every failure event.
 	StaleTranslations bool
-	// Wear is the fabric's accumulated cross-epoch NBTI stress map.
-	// Wear-adaptive allocators (alloc.WearSetter) receive it through the
-	// controller and re-explore their placement whenever its version
-	// changes; the engine then observes the new pivot through the resident
-	// (StartPC, Offset) identity and accounts a reconfiguration event,
-	// exactly as it does when a kill forces the placement off a dead cell.
-	// Wear never affects placeability — a worn FU still computes — so the
-	// unplaceable memo below stays keyed on health alone.
-	Wear *fabric.Wear
 	// ShapeTranslations enables translation-time shape search: instead of
 	// mapping every hot trace at the identity full-fabric shape, the DBT
 	// maps it once per rung of the candidate shape ladder (Ladder) against
@@ -104,12 +95,14 @@ type Options struct {
 	// cells it would occupy — fresh translations are born shape- and
 	// health-aware instead of relying on the allocation-time remap rescue.
 	// Because the chosen shape is a decision taken under one fabric state,
-	// the translation cache is then keyed on the (health, wear) versions
-	// (cfgcache.Cache.SyncState, mirroring RemapCache): any version move
+	// the translation cache is then keyed on the health version
+	// (cfgcache.Cache.SyncState, mirroring RemapCache): a version move
 	// flushes the translations wholesale and the trace builder re-captures
-	// against the new state. Mutually exclusive with StaleTranslations —
-	// shape-aware translation is precisely the regime where the DBT's
-	// translation memory follows the fabric state instead of predating it.
+	// against the new state. The tie-break reads the controller's wear map
+	// (core.Controller.SetWear), which must not change while the engine
+	// runs. Mutually exclusive with StaleTranslations — shape-aware
+	// translation is precisely the regime where the DBT's translation
+	// memory follows the fabric state instead of predating it.
 	ShapeTranslations bool
 	// Ladder is the candidate shape ladder the translation-time search
 	// walks (zero value: fabric.DefaultShapeLadder, the same ladder the
@@ -340,11 +333,6 @@ func NewEngine(opts Options) (*Engine, error) {
 			ctrl.SetHealth(health)
 		}
 	}
-	// Same ownership rule for the wear map: an engine-owned controller
-	// adopts it so wear-adaptive allocators see the aging history.
-	if opts.Wear != nil && opts.Controller == nil {
-		ctrl.SetWear(opts.Wear)
-	}
 	return e, nil
 }
 
@@ -435,15 +423,15 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 		return err
 	}
 	if e.opts.ShapeTranslations {
-		// The resident translations' shapes were decided under one
-		// (health, wear) state; if either version moved, every decision is
-		// stale — flush wholesale (mirroring RemapCache) and retire this
-		// instruction on the GPP with the trace builder engaged, so the
-		// region re-translates against the new state. finalizeTrace may
+		// The resident translations' shapes were decided under one health
+		// state; if its version moved, every decision is stale — flush
+		// wholesale (mirroring RemapCache) and retire this instruction on
+		// the GPP with the trace builder engaged, so the region
+		// re-translates against the new state. finalizeTrace may
 		// already have consumed the flush between this offload's cache hit
 		// and this check (stateFlushed): the looked-up configuration is
 		// stale all the same.
-		if e.cache.SyncState(e.stateVersions()) || e.stateFlushed {
+		if e.cache.SyncState(e.healthVersion()) || e.stateFlushed {
 			e.stateFlushed = false
 			r, err := e.stepOnGPP(c)
 			if err != nil {
@@ -605,16 +593,13 @@ func (e *Engine) gppCyclesFirst(cfg *fabric.Config, n int) uint64 {
 	return cycles
 }
 
-// stateVersions snapshots the (health, wear) versions the shape decisions
-// key on; an unattached map reads as version zero.
-func (e *Engine) stateVersions() (healthVer, wearVer uint64) {
+// healthVersion is the health version the shape decisions and the
+// rejection memo key on; an unattached map reads as version zero.
+func (e *Engine) healthVersion() uint64 {
 	if e.opts.Health != nil {
-		healthVer = e.opts.Health.Version()
+		return e.opts.Health.Version()
 	}
-	if w := e.ctrl.Wear(); w != nil {
-		wearVer = w.Version()
-	}
-	return healthVer, wearVer
+	return 0
 }
 
 // stepOnGPP retires one instruction on the GPP and attributes its cycles,
@@ -669,18 +654,17 @@ func (e *Engine) finalizeTrace() {
 func (e *Engine) translateTrace() {
 	if e.shapes != nil {
 		// Key the insert on the state the shape decision is about to be
-		// taken under: if the versions moved since the resident entries
+		// taken under: if the version moved since the resident entries
 		// were decided, they are stale and flush here — otherwise this
 		// fresh translation would be recorded under the old state and
 		// wrongly flushed (wasting its ladder scan) at its own first
 		// offload. A configuration looked up before this flush is still
 		// stale; remember the flush so the offload path rejects it.
-		if e.cache.SyncState(e.stateVersions()) {
+		if e.cache.SyncState(e.healthVersion()) {
 			e.stateFlushed = true
 		}
 	}
-	healthVer, wearVer := e.stateVersions()
-	if counts, ok := e.rejected.lookup(e.trace, healthVer, wearVer); ok {
+	if counts, ok := e.rejected.lookup(e.trace, e.healthVersion()); ok {
 		// The hardware translator re-runs the attempt the memo skips.
 		e.search.Add(counts)
 		return
@@ -711,26 +695,26 @@ func (e *Engine) translateTrace() {
 // instead of once per capture. It is a simulator shortcut over a pure
 // function, not a modelled hardware cache: the attempt's outcome depends
 // only on the trace's (PC, Taken) sequence — the run's program fixes each
-// PC's instruction — and on the (health, wear) state the mapper and the
-// ladder tie-break read, so the memo keys on the exact sequence and clears
-// whenever the state versions move. A hit hands back the searchcost counts
-// the skipped attempt would have added.
+// PC's instruction — and on the health state the mapper reads (the ladder
+// tie-break's wear is fixed for the run), so the memo keys on the exact
+// sequence and clears whenever the health version moves. A hit hands back
+// the searchcost counts the skipped attempt would have added.
 type rejectMemo struct {
-	healthVer, wearVer uint64
-	counts             map[string]searchcost.Counts
-	key                []byte // the key lookup built, reused by insert
+	healthVer uint64
+	counts    map[string]searchcost.Counts
+	key       []byte // the key lookup built, reused by insert
 }
 
 func newRejectMemo() *rejectMemo {
 	return &rejectMemo{counts: make(map[string]searchcost.Counts)}
 }
 
-// lookup keys trace under the given state versions and reports the counts
+// lookup keys trace under the given health version and reports the counts
 // of its memoized rejection, if any.
-func (m *rejectMemo) lookup(trace []mapper.TraceEntry, healthVer, wearVer uint64) (searchcost.Counts, bool) {
-	if healthVer != m.healthVer || wearVer != m.wearVer {
+func (m *rejectMemo) lookup(trace []mapper.TraceEntry, healthVer uint64) (searchcost.Counts, bool) {
+	if healthVer != m.healthVer {
 		clear(m.counts)
-		m.healthVer, m.wearVer = healthVer, wearVer
+		m.healthVer = healthVer
 	}
 	m.key = m.key[:0]
 	for _, te := range trace {

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"agingcgra/internal/alloc"
+	"agingcgra/internal/core"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/isa"
 	"agingcgra/internal/mapper"
@@ -115,17 +117,15 @@ func TestShapeTranslationsFlowAroundDeadColumns(t *testing.T) {
 
 // TestShapeTranslationsRetranslateOnStateChange pins the translation-cache
 // keying: the resident translations' shape decisions are valid for exactly
-// one (health version, wear version) pair — a death or a wear advance
-// flushes them wholesale (cfgcache.Cache.SyncState, mirroring RemapCache)
-// and the re-captured traces translate against the new state.
+// one health version — a death flushes them wholesale
+// (cfgcache.Cache.SyncState, mirroring RemapCache) and the re-captured
+// traces translate against the new state.
 func TestShapeTranslationsRetranslateOnStateChange(t *testing.T) {
 	g := fabric.NewGeometry(2, 16)
 	h := fabric.NewHealth(g)
-	w := fabric.NewWear(g)
 	e, err := NewEngine(Options{
 		Geom:              g,
 		Health:            h,
-		Wear:              w,
 		ShapeTranslations: true,
 	})
 	if err != nil {
@@ -164,16 +164,6 @@ func TestShapeTranslationsRetranslateOnStateChange(t *testing.T) {
 			t.Fatalf("post-flush translation %#x has no live pivot", cfg.StartPC)
 		}
 	}
-
-	// A wear advance moves the wear version: the shape tie-break's input
-	// changed, so the decisions flush too.
-	w.Add(fabric.Cell{Row: 1, Col: 3}, 2)
-	if _, err := e.Run(loopCore(t), 1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Cache().Stats().Flushes; got != 2 {
-		t.Errorf("flushes = %d after a wear advance, want 2", got)
-	}
 }
 
 // TestShapeTranslationWearTieBreak pins the wear-aware tie-break: two
@@ -201,9 +191,16 @@ func TestShapeTranslationWearTieBreak(t *testing.T) {
 		t.Errorf("fresh fabric chose %v; want the full shape (first rung) on a tie", cfg.Geom)
 	}
 
+	// The tie-break reads the wear map of the engine's controller; the
+	// lifetime simulator attaches it to a controller shared with the engine.
 	w := fabric.NewWear(g)
 	w.Add(fabric.Cell{Row: 1, Col: 0}, 3)
-	worn, err := NewEngine(Options{Geom: g, ShapeTranslations: true, Wear: w})
+	ctrl, err := core.NewController(g, alloc.Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.SetWear(w)
+	worn, err := NewEngine(Options{Geom: g, ShapeTranslations: true, Controller: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}

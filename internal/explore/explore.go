@@ -20,8 +20,9 @@
 // The projection inputs are maintained as deltas, not recomputed per scan:
 // ObserveStress adjusts only the cells of the committed footprint (the
 // dirty set of one commit is exactly the placement's physical cells), and
-// the cross-epoch wear snapshot is reconciled only when fabric.Wear's
-// version moves — between commits the snapshot is provably clean. The scan
+// the cross-epoch wear is copied once, by SetWear: the lifetime simulator
+// accrues wear only between epochs and builds a fresh allocator for every
+// epoch, so the map never moves while an explorer reads it. The scan
 // itself never evaluates Eq. 1 per cell: a cell's projected stress-years
 // are wearY[i] + stress[i]·(horizon/active), one fused multiply-add against
 // the incrementally maintained tables, and because Eq. 1's ΔVt is strictly
@@ -44,8 +45,8 @@
 //
 // Because an exhaustive pivot search per execution would be costly in
 // hardware, the search runs every RecomputeEvery *committed* executions and
-// the chosen pivot is held in between; a health or wear state change forces
-// an immediate re-exploration, mirroring alloc.HealthAware. The hold period
+// the chosen pivot is held in between; a health state change forces an
+// immediate re-exploration, mirroring alloc.HealthAware. The hold period
 // counts executions the controller actually committed (ObserveStress), not
 // allocator proposals: the controller's dead-cell skip-scan may call Next
 // up to NumFUs times per offload, and counting those proposals would
@@ -61,13 +62,13 @@
 //
 // # Snapshot consistency
 //
-// Score and ProjectedScore always evaluate against the same incrementally
+// ProjectedScore always evaluates against the same incrementally
 // maintained state the pivot scan reads — there is no separately cached
 // per-cell ΔVt table that can go stale between a scan and an external
 // scoring call. The shape-adaptive remapper's reshape comparison and the
 // explorer's own argmin therefore score against the same snapshot by
-// construction; Reproject remains as the explicit synchronisation point
-// callers use before scoring candidates concurrently.
+// construction, and ProjectedScore is a pure read that concurrent
+// scorers may share.
 package explore
 
 import (
@@ -102,7 +103,6 @@ type Explorer struct {
 	recomputeEvery uint64
 
 	health *fabric.Health
-	wear   *fabric.Wear
 
 	// rowBase/colMod are the toroidal index tables: the physical row-major
 	// index of virtual cell (r, c) under pivot (pr, pc) is
@@ -118,13 +118,10 @@ type Explorer struct {
 	stress []uint64
 	active uint64
 
-	// wearY is the reconciled snapshot of fabric.Wear (stress-years per
-	// physical cell): the cross-epoch half of the incremental projection.
-	// It is refreshed only when the wear version moves (or the map is
-	// swapped), never per scan.
-	wearY    []float64
-	wearSeen uint64
-	wearOld  bool // snapshot must resync regardless of version equality
+	// wearY is the snapshot of fabric.Wear (stress-years per physical
+	// cell) SetWear takes: the cross-epoch half of the incremental
+	// projection.
+	wearY []float64
 	// yProj is the per-scan projection table: yProj[i] = wearY[i] +
 	// stress[i]·k, materialised once per Explore (the modeled hardware's
 	// projection refresh, PivotProjections += NumFUs) so the pivot loop
@@ -159,10 +156,9 @@ type pivotState struct {
 	off fabric.Offset
 	// nextAt is the committed-execution count at which the pivot expires.
 	nextAt uint64
-	// healthVer/wearVer are the fabric-state versions the pivot was
-	// explored under; either moving marks it stale.
+	// healthVer is the health version the pivot was explored under; a
+	// move marks it stale.
 	healthVer uint64
-	wearVer   uint64
 	// noLive records that the exploration found no live placement for this
 	// footprint at healthVer: further proposals skip the (futile) rescan
 	// until the health state changes, so an unplaceable configuration
@@ -228,11 +224,10 @@ func (e *Explorer) Name() string {
 // SetHealth implements alloc.HealthSetter.
 func (e *Explorer) SetHealth(h *fabric.Health) { e.health = h }
 
-// SetWear implements alloc.WearSetter.
-func (e *Explorer) SetWear(w *fabric.Wear) {
-	e.wear = w
-	e.wearOld = true // force a resync: a swapped map may share a version
-}
+// SetWear implements alloc.WearSetter: it copies the map's stress-years
+// into the projection once. Until it is called the explorer projects a
+// fresh fabric.
+func (e *Explorer) SetWear(w *fabric.Wear) { e.wearY = w.CopyYears(e.wearY) }
 
 // ObserveStress implements alloc.StressObserver. Committed executions are
 // also the clock of the pivot hold period: one commit advances the count
@@ -253,26 +248,6 @@ func (e *Explorer) ObserveStress(cells []fabric.Cell, off fabric.Offset, cycles 
 	e.count++
 }
 
-// syncWear reconciles the wear snapshot with fabric.Wear. The snapshot is
-// clean whenever the wear version has not moved, so the reconciliation
-// runs once per cross-epoch wear advance instead of once per scan.
-func (e *Explorer) syncWear() {
-	if e.wear == nil {
-		if e.wearOld {
-			for i := range e.wearY {
-				e.wearY[i] = 0
-			}
-			e.wearOld = false
-		}
-		return
-	}
-	if v := e.wear.Version(); e.wearOld || v != e.wearSeen {
-		e.wearY = e.wear.CopyYears(e.wearY)
-		e.wearSeen = v
-		e.wearOld = false
-	}
-}
-
 // dutyScale returns the per-cycle horizon scaling of the projection: a
 // cell's projected stress-years are wearY + stress·dutyScale.
 func (e *Explorer) dutyScale() float64 {
@@ -282,21 +257,17 @@ func (e *Explorer) dutyScale() float64 {
 	return e.horizonYears / float64(e.active)
 }
 
-// versions snapshots the observable fabric-state versions (zero when a map
-// is not attached).
-func (e *Explorer) versions() (healthVer, wearVer uint64) {
+// healthVersion is the attached health map's version (zero when none).
+func (e *Explorer) healthVersion() uint64 {
 	if e.health != nil {
-		healthVer = e.health.Version()
+		return e.health.Version()
 	}
-	if e.wear != nil {
-		wearVer = e.wear.Version()
-	}
-	return healthVer, wearVer
+	return 0
 }
 
 // Next implements alloc.Allocator: the configuration's held pivot,
 // re-explored once its hold period of recomputeEvery committed executions
-// expires, immediately on health/wear changes, and whenever the held pivot
+// expires, immediately on health changes, and whenever the held pivot
 // would drive the footprint onto a dead FU. The last rule matters on
 // fabrics smaller than the hold period: the controller's skip-scan is
 // bounded by NumFUs proposals, so without it a stale pivot could exhaust
@@ -325,8 +296,8 @@ func (e *Explorer) Next(cfg *fabric.Config) fabric.Offset {
 		}
 		e.lastCfg, e.lastSt = cfg, st
 	}
-	healthVer, wearVer := e.versions()
-	stale := st.healthVer != healthVer || st.wearVer != wearVer
+	healthVer := e.healthVersion()
+	stale := st.healthVer != healthVer
 	recompute := stale || e.count >= st.nextAt
 	if !recompute && e.health != nil && e.health.DeadCount() > 0 &&
 		!e.health.PlacementOK(cfg.Cells(), st.off) {
@@ -346,7 +317,7 @@ func (e *Explorer) Next(cfg *fabric.Config) fabric.Offset {
 			st.nextAt = e.count + e.recomputeEvery
 			return st.off
 		}
-		st.healthVer, st.wearVer = healthVer, wearVer
+		st.healthVer = healthVer
 		st.off = e.Explore(cfg)
 		st.explored = true
 		st.nextAt = e.count + e.recomputeEvery
@@ -386,7 +357,6 @@ type stripeResult struct {
 // are order-invariant sums, so serial, pruned and parallel scans are
 // byte-identical in outcome and counted work under any GOMAXPROCS.
 func (e *Explorer) Explore(cfg *fabric.Config) fabric.Offset {
-	e.syncWear()
 	cells := cfg.Cells()
 	var dead []bool
 	if e.health != nil && e.health.DeadCount() > 0 {
@@ -586,30 +556,14 @@ func (e *Explorer) scoreYears(cells []fabric.Cell, off fabric.Offset, dead []boo
 	return maxY, sumY, true
 }
 
-// Score returns the maximum projected ΔVt of placing cfg at off under the
-// explorer's current state: the objective Explore minimises. Exposed so
-// tests (and diagnostics) can compare the explorer's choice against
-// alternatives such as the skip-scan fallback it replaces. ΔVt is strictly
-// increasing in projected stress-years, so evaluating Eq. 1 once on the
-// footprint's worst cell equals the maximum of per-cell evaluations.
-func (e *Explorer) Score(cfg *fabric.Config, off fabric.Offset) float64 {
-	e.syncWear()
-	return e.ProjectedScore(cfg, off)
-}
-
-// Reproject synchronises the projection state external scorers evaluate
-// against (the wear snapshot reconciliation). Callers scoring many
-// candidates under one fabric state — the shape-adaptive remapper's
-// (shape × anchor) search, possibly from several goroutines — synchronise
-// once here; ProjectedScore is then a pure read.
-func (e *Explorer) Reproject() { e.syncWear() }
-
-// ProjectedScore evaluates one candidate — its worst projected ΔVt under
-// the paper's default NBTI conditions — against the incrementally
-// maintained projection state (see Reproject); Score is Reproject followed
-// by ProjectedScore. Unlike the pre-incremental explorer there is no
-// separately cached ΔVt table to go stale: every call scores the same
-// snapshot the pivot scan reads.
+// ProjectedScore returns the maximum projected ΔVt of placing cfg at off
+// under the explorer's current state — its worst cell under the paper's
+// default NBTI conditions: the objective Explore minimises. Exposed so the
+// shape-adaptive remapper (and tests) can compare candidates against the
+// explorer's choice. ΔVt is strictly increasing in projected stress-years,
+// so evaluating Eq. 1 once on the footprint's worst cell equals the maximum
+// of per-cell evaluations. It reads the same snapshot the pivot scan does
+// and writes nothing, so concurrent scorers may share it.
 func (e *Explorer) ProjectedScore(cfg *fabric.Config, off fabric.Offset) float64 {
 	maxY, _, _ := e.scoreYears(cfg.Cells(), off, nil, e.dutyScale())
 	return aging.DefaultConditions().DeltaVt(maxY, 1)

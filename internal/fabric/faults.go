@@ -3,7 +3,7 @@ package fabric
 import "fmt"
 
 // Faults tracks each FU cell's per-execution intermittent-fault probability:
-// the third versioned fabric-state layer beside Health (dead/alive) and Wear
+// the third fabric-state layer beside Health (dead/alive) and Wear
 // (accumulated stress). Aged transistors misbehave intermittently before
 // they die — increased delay causes marginal timing paths to flip bits on
 // some executions — so the lifetime simulator derives each cell's
@@ -12,13 +12,13 @@ import "fmt"
 // map on every offload that occupies the cell.
 //
 // Like Health and Wear, a Faults map is owned by one simulated fabric
-// instance and is not safe for concurrent mutation; Version increments on
-// every state change.
+// instance and is not safe for concurrent mutation. The lifetime simulator
+// re-derives it only at epoch boundaries and keys its epoch memo on the
+// probabilities themselves (Probs).
 type Faults struct {
-	geom    Geometry
-	prob    []float64
-	risky   int
-	version uint64
+	geom  Geometry
+	prob  []float64
+	risky int
 }
 
 // NewFaults builds an all-reliable fault map for the geometry.
@@ -34,9 +34,7 @@ func (f *Faults) inRange(c Cell) bool {
 }
 
 // Set assigns a cell's per-execution fault probability, clamped to [0, 1],
-// and reports whether the map changed (the version only advances on actual
-// change).
-// Out-of-range cells are ignored.
+// and reports whether the map changed. Out-of-range cells are ignored.
 func (f *Faults) Set(c Cell, p float64) bool {
 	if !f.inRange(c) {
 		return false
@@ -56,7 +54,6 @@ func (f *Faults) Set(c Cell, p float64) bool {
 		f.risky--
 	}
 	f.prob[i] = p
-	f.version++
 	return true
 }
 
@@ -77,10 +74,6 @@ func (f *Faults) Probs() []float64 { return f.prob }
 // injection layer's fast path skips per-cell draws entirely on a fully
 // reliable fabric.
 func (f *Faults) Risky() bool { return f.risky > 0 }
-
-// Version increments on every state change, like Health.Version and
-// Wear.Version.
-func (f *Faults) Version() uint64 { return f.version }
 
 // String summarises the map for debugging.
 func (f *Faults) String() string {

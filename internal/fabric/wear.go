@@ -7,14 +7,15 @@ import "fmt"
 // cycle only through their product t·u, so one number per cell captures the
 // whole aging history. The lifetime simulator owns and advances the map at
 // epoch boundaries; wear-adaptive allocators (alloc.WearSetter) read it to
-// steer placements away from the most-degraded cells.
+// steer placements away from the most-degraded cells. Wear only moves
+// between epochs, so readers take it as a value for their whole lifetime
+// and no version tracks its changes.
 //
 // A Wear is owned by one simulated fabric instance and is not safe for
 // concurrent mutation; scenario sweeps give every scenario its own Wear.
 type Wear struct {
-	geom    Geometry
-	years   []float64
-	version uint64
+	geom  Geometry
+	years []float64
 }
 
 // NewWear builds an all-fresh wear map for the geometry.
@@ -36,7 +37,6 @@ func (w *Wear) Add(c Cell, years float64) bool {
 		return false
 	}
 	w.years[c.Row*w.geom.Cols+c.Col] += years
-	w.version++
 	return true
 }
 
@@ -63,14 +63,9 @@ func (w *Wear) Max() (float64, Cell) {
 	return best, cell
 }
 
-// Version increments on every state change; callers memoizing placement
-// decisions use it to invalidate their caches, exactly like Health.Version.
-func (w *Wear) Version() uint64 { return w.version }
-
 // CopyYears copies the per-cell stress-years (row-major) into dst, growing
 // it as needed, and returns the filled slice. Incremental scorers snapshot
-// the map through it once per version move instead of calling YearsAt per
-// cell per scan.
+// the map through it once instead of calling YearsAt per cell per scan.
 func (w *Wear) CopyYears(dst []float64) []float64 {
 	if cap(dst) < len(w.years) {
 		dst = make([]float64, len(w.years))

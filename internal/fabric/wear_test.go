@@ -2,12 +2,9 @@ package fabric
 
 import "testing"
 
-func TestWearAccrualAndVersion(t *testing.T) {
+func TestWearAccrual(t *testing.T) {
 	g := NewGeometry(2, 4)
 	w := NewWear(g)
-	if w.Version() != 0 {
-		t.Fatalf("fresh wear version %d, want 0", w.Version())
-	}
 	for r := 0; r < g.Rows; r++ {
 		for c := 0; c < g.Cols; c++ {
 			if y := w.YearsAt(Cell{Row: r, Col: c}); y != 0 {
@@ -19,9 +16,6 @@ func TestWearAccrualAndVersion(t *testing.T) {
 	if !w.Add(Cell{Row: 0, Col: 1}, 1.5) {
 		t.Fatal("positive accrual rejected")
 	}
-	if w.Version() != 1 {
-		t.Fatalf("version after one Add = %d, want 1", w.Version())
-	}
 	if got := w.YearsAt(Cell{Row: 0, Col: 1}); got != 1.5 {
 		t.Fatalf("YearsAt = %v, want 1.5", got)
 	}
@@ -30,15 +24,16 @@ func TestWearAccrualAndVersion(t *testing.T) {
 		t.Fatalf("accumulated YearsAt = %v, want 2.0", got)
 	}
 
-	// Zero/negative deltas and out-of-range cells leave state and version
-	// untouched: memoizing callers rely on Version only moving on change.
-	v := w.Version()
+	// Zero/negative deltas and out-of-range cells leave the map untouched.
+	before := w.CopyYears(nil)
 	if w.Add(Cell{Row: 0, Col: 0}, 0) || w.Add(Cell{Row: 1, Col: 2}, -1) ||
 		w.Add(Cell{Row: 5, Col: 5}, 1) {
 		t.Error("no-op accruals reported a change")
 	}
-	if w.Version() != v {
-		t.Errorf("no-op accruals moved version %d -> %d", v, w.Version())
+	for i, y := range w.CopyYears(nil) {
+		if y != before[i] {
+			t.Errorf("no-op accruals moved cell %d: %v -> %v", i, before[i], y)
+		}
 	}
 	if w.YearsAt(Cell{Row: 9, Col: 9}) != 0 {
 		t.Error("out-of-range cell reads nonzero wear")

@@ -15,8 +15,8 @@ import (
 // exercise the wear-feedback path (no epoch memoization while wear evolves),
 // so the batch covers both the replayed and the re-simulated timelines. The
 // remap scenarios additionally inject a clustered failure under stale
-// translations, so the shape-search path (and its per-(health, wear)
-// remap cache) is on the deterministic clock too, and the shaped scenarios
+// translations, so the shape-search path (and its health-keyed remap
+// cache) is on the deterministic clock too, and the shaped scenarios
 // put the translation-time ladder search (with its state-keyed translation
 // cache) under the same serial==parallel == -race contract.
 func batch() []Scenario {

@@ -31,10 +31,10 @@ func faultScenario() Scenario {
 // observed state is moving and replay once they go quiescent. The fail-stop
 // policy gives the crispest phases: (1) before any cell crosses the
 // intermittent threshold the fault field is all-zero and constant, so the
-// early epochs replay; (2) once probabilities ramp, the fault version moves
+// early epochs replay; (2) once probabilities ramp, the fault field moves
 // every epoch and faults eventually fire, so those epochs re-simulate; (3)
 // the first detection latches distrust, every offload routes to the GPP,
-// wear freezes, all versions stop, and the tail replays.
+// wear freezes, all keyed state stops, and the tail replays.
 func TestEpochMemoKeyCoversFaultState(t *testing.T) {
 	sc := faultScenario()
 	sc.Recovery = &recov.Policy{CheckEvery: 1, FailStop: true}

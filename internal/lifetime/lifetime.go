@@ -26,6 +26,9 @@
 // dead mask; wear-adaptive allocators (alloc.WearSetter) also see the
 // accumulated fabric.Wear map — wear accrues every epoch, which correctly
 // forces those scenarios to re-simulate as the placement search adapts.
+// Wear is added only between epochs, after runEpoch returns, so every
+// allocator and engine sees one fixed wear map for its whole life; that is
+// what lets wear consumers read it once instead of tracking its changes.
 package lifetime
 
 import (
@@ -512,9 +515,8 @@ func Run(sc Scenario) (*Result, error) {
 	allocName := probe.Name()
 	// Wear-adaptive allocators observe the accumulated wear map, so their
 	// epoch outcomes depend on it and the memo key must include its content.
-	// Shape-aware translation observes wear too (the ladder tie-break and
-	// the translation-cache keying read it), so such scenarios are
-	// wear-adaptive regardless of the allocator.
+	// Shape-aware translation observes wear too (the ladder tie-break reads
+	// it), so such scenarios are wear-adaptive regardless of the allocator.
 	_, wearAware := probe.(alloc.WearSetter)
 	wearAware = wearAware || sc.Engine.ShapeTranslations
 	if sc.Name == "" {
@@ -975,7 +977,7 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 }
 
 // RunScenarios simulates a batch of scenarios over a worker pool (workers
-// <= 0 selects all CPUs, 1 forces the serial path). Results are ordered by
+// <= 0 selects runtime.GOMAXPROCS(0), 1 forces the serial path). Results are ordered by
 // scenario index and byte-identical to a serial run; the stand-alone GPP
 // references are shared across the batch.
 func RunScenarios(scs []Scenario, workers int) ([]*Result, error) {

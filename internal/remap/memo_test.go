@@ -21,7 +21,6 @@ func unmemoizedSearch(m *Remapper, cfg *fabric.Config) cfgcache.RemapEntry {
 	if n := len(cfg.Ops); n < minOps {
 		minOps = n
 	}
-	m.ex.Reproject()
 	m.counts.RemapScans++
 	m.counts.RemapProjections += uint64(m.geom.NumFUs())
 	trace := Trace(cfg)

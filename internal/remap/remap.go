@@ -25,9 +25,10 @@
 // then by the explorer's projected-ΔVt wear score (the placement whose
 // worst cell ages least), with deterministic shape-order and row-major
 // anchor tie-breaks. The search outcome — positive or negative — is
-// memoized in a cfgcache.RemapCache keyed by (StartPC, health version,
-// wear version): deaths change which placements exist, wear advances
-// change which the scoring prefers, and both invalidate wholesale. The
+// memoized in a cfgcache.RemapCache keyed by (StartPC, health version):
+// deaths change which placements exist and invalidate it wholesale. Wear
+// needs no key because it is fixed for the allocator's lifetime (the
+// lifetime simulator builds a fresh remapper for every epoch). The
 // scans this costs are counted and priced by the derived hardware-cost
 // model in internal/searchcost.
 //
@@ -69,7 +70,6 @@ type Remapper struct {
 	shapes []fabric.Geometry
 
 	health *fabric.Health
-	wear   *fabric.Wear
 	cache  *cfgcache.RemapCache
 
 	// counts tallies the rescue-search work for the derived cost model.
@@ -143,10 +143,7 @@ func (m *Remapper) SetHealth(h *fabric.Health) {
 }
 
 // SetWear implements alloc.WearSetter.
-func (m *Remapper) SetWear(w *fabric.Wear) {
-	m.wear = w
-	m.ex.SetWear(w)
-}
+func (m *Remapper) SetWear(w *fabric.Wear) { m.ex.SetWear(w) }
 
 // ObserveStress implements alloc.StressObserver.
 func (m *Remapper) ObserveStress(cells []fabric.Cell, off fabric.Offset, cycles uint64) {
@@ -214,11 +211,10 @@ func Reshape(cfg *fabric.Config, shape fabric.Geometry, anchor fabric.Offset, ph
 //     superset of the explorer's, so the chosen placement never projects
 //     more worst-cell wear than the translation-only choice did.
 //
-// Search outcomes are memoized per (StartPC, health version, wear
-// version) and held until either version moves — the decision snapshots
-// the duty observed at the region's first offload, mirroring the
-// explorer's own pivot hold period, rather than re-ranking as within-run
-// duty drifts. On a pristine fabric the remapper is exactly the explorer
+// Search outcomes are memoized per (StartPC, health version) and held
+// until the health version moves — the decision snapshots the duty
+// observed at the region's first offload, mirroring the explorer's own
+// pivot hold period, rather than re-ranking as within-run duty drifts. On a pristine fabric the remapper is exactly the explorer
 // and the search never runs.
 func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed bool) (*fabric.Config, fabric.Offset, bool) {
 	if cfg == nil || len(cfg.Ops) == 0 || m.health == nil || m.health.DeadCount() == 0 {
@@ -228,16 +224,12 @@ func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed boo
 		return cfg, off, true
 	}
 	healthVer := m.health.Version()
-	var wearVer uint64
-	if m.wear != nil {
-		wearVer = m.wear.Version()
-	}
 	// A nil Cfg with OK set is the keep-the-translation marker: the offset
 	// then follows the explorer's live pivot, not a cached one. The marker
 	// is only ever written when a pivot existed; placement success is a
 	// pure function of the health state, so a marker hit with placed false
 	// cannot happen — recompute defensively if it ever does.
-	if e, ok := m.cache.Lookup(cfg.StartPC, healthVer, wearVer); ok {
+	if e, ok := m.cache.Lookup(cfg.StartPC, healthVer); ok {
 		if e.OK && e.Cfg == nil {
 			if placed {
 				return cfg, off, true
@@ -257,7 +249,7 @@ func (m *Remapper) RemapConfig(cfg *fabric.Config, off fabric.Offset, placed boo
 			entry = cfgcache.RemapEntry{OK: true} // keep the translation
 		}
 	}
-	m.cache.Insert(cfg.StartPC, healthVer, wearVer, entry)
+	m.cache.Insert(cfg.StartPC, healthVer, entry)
 	if entry.OK && entry.Cfg == nil {
 		return cfg, off, true
 	}
@@ -286,7 +278,7 @@ type searchStripe struct {
 // below minParallelCandidates): candidates are partitioned into
 // contiguous stripes, each worker maps, checks and scores
 // its own range against shared read-only state (the trace, the health map
-// and the explorer's projection, synchronised once by Reproject), and the
+// and the explorer's projection), and the
 // reduction picks the winner by (consumed desc, score asc, index asc) in
 // stripe order. Every viable candidate is mapped, counted and scored —
 // there is no running-best gate short-circuiting the per-candidate work —
@@ -300,7 +292,6 @@ func (m *Remapper) search(cfg *fabric.Config) cfgcache.RemapEntry {
 	// One Eq. 1 projection pass serves the whole candidate scan: the
 	// projection depends only on the fabric state and the observed duty,
 	// neither of which changes mid-search.
-	m.ex.Reproject()
 	m.counts.RemapScans++
 	m.counts.RemapProjections += uint64(m.geom.NumFUs())
 

@@ -33,7 +33,7 @@ type ShapeSweepOptions struct {
 	// EpochYears and MaxYears shape the timeline (default 0.5 / 20).
 	EpochYears float64
 	MaxYears   float64
-	// Workers bounds scenario parallelism (0: all CPUs, 1: serial).
+	// Workers bounds scenario parallelism (0: GOMAXPROCS, 1: serial).
 	Workers int
 }
 
