@@ -170,36 +170,6 @@ func BenchmarkAblationMovementPatterns(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPivotScope compares one global pivot against
-// per-configuration pivots.
-func BenchmarkAblationPivotScope(b *testing.B) {
-	g := fabric.NewGeometry(2, 16)
-	cases := []struct {
-		name    string
-		factory dse.AllocatorFactory
-	}{
-		{"global", func(gg fabric.Geometry) alloc.Allocator {
-			return alloc.NewUtilizationAware(gg)
-		}},
-		{"per-config", func(gg fabric.Geometry) alloc.Allocator {
-			return alloc.NewUtilizationAware(gg, alloc.WithPerConfigPivot())
-		}},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := dse.RunSuite(g, c.factory, dse.Options{Size: Small})
-				if err != nil {
-					b.Fatal(err)
-				}
-				m, _ := res.Util.Max()
-				b.ReportMetric(100*m, "worst%")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationMovementPeriod varies how often the pivot advances.
 func BenchmarkAblationMovementPeriod(b *testing.B) {
 	g := fabric.NewGeometry(2, 16)

@@ -190,12 +190,8 @@ type UtilizationAware struct {
 	// period is how many executions share one pivot position before the
 	// pivot advances (1 = move every execution, the paper's default).
 	period uint64
-	// perConfig tracks an independent pivot per configuration StartPC
-	// instead of one global pivot.
-	perConfig bool
 
-	count    uint64
-	perCount map[uint32]uint64
+	count uint64
 }
 
 // Option configures the UtilizationAware allocator.
@@ -215,18 +211,12 @@ func WithPeriod(n uint64) Option {
 	}
 }
 
-// WithPerConfigPivot gives each configuration its own pivot walk.
-func WithPerConfigPivot() Option {
-	return func(u *UtilizationAware) { u.perConfig = true }
-}
-
 // NewUtilizationAware builds the proposed allocator for a fabric geometry.
 func NewUtilizationAware(g fabric.Geometry, opts ...Option) *UtilizationAware {
 	u := &UtilizationAware{
-		geom:     g,
-		pattern:  Snake{},
-		period:   1,
-		perCount: make(map[uint32]uint64),
+		geom:    g,
+		pattern: Snake{},
+		period:  1,
 	}
 	for _, o := range opts {
 		o(u)
@@ -241,9 +231,6 @@ func NewUtilizationAware(g fabric.Geometry, opts ...Option) *UtilizationAware {
 // Name implements Allocator.
 func (u *UtilizationAware) Name() string {
 	name := "utilization-aware/" + u.pattern.Name()
-	if u.perConfig {
-		name += "/per-config"
-	}
 	if u.period > 1 {
 		name += fmt.Sprintf("/period=%d", u.period)
 	}
@@ -251,15 +238,9 @@ func (u *UtilizationAware) Name() string {
 }
 
 // Next implements Allocator.
-func (u *UtilizationAware) Next(cfg *fabric.Config) fabric.Offset {
-	var n uint64
-	if u.perConfig && cfg != nil {
-		n = u.perCount[cfg.StartPC]
-		u.perCount[cfg.StartPC] = n + 1
-	} else {
-		n = u.count
-		u.count++
-	}
+func (u *UtilizationAware) Next(*fabric.Config) fabric.Offset {
+	n := u.count
+	u.count++
 	return u.seq[(n/u.period)%uint64(len(u.seq))]
 }
 

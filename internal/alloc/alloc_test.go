@@ -144,28 +144,13 @@ func TestUtilizationAwarePeriod(t *testing.T) {
 	}
 }
 
-func TestUtilizationAwarePerConfig(t *testing.T) {
-	g := fabric.NewGeometry(2, 4)
-	u := NewUtilizationAware(g, WithPerConfigPivot())
-	a := &fabric.Config{StartPC: 0x1000, Geom: g}
-	b := &fabric.Config{StartPC: 0x2000, Geom: g}
-	seq := Snake{}.Sequence(g)
-	// Interleaved executions: each config walks its own sequence.
-	if u.Next(a) != seq[0] || u.Next(b) != seq[0] {
-		t.Fatal("per-config walks should both start at seq[0]")
-	}
-	if u.Next(a) != seq[1] || u.Next(b) != seq[1] {
-		t.Fatal("per-config walks should advance independently")
-	}
-}
-
 func TestUtilizationAwareName(t *testing.T) {
 	g := fabric.NewGeometry(2, 4)
 	if got := NewUtilizationAware(g).Name(); got != "utilization-aware/snake" {
 		t.Errorf("name = %q", got)
 	}
-	got := NewUtilizationAware(g, WithPattern(Diagonal{}), WithPeriod(4), WithPerConfigPivot()).Name()
-	if got != "utilization-aware/diagonal/per-config/period=4" {
+	got := NewUtilizationAware(g, WithPattern(Diagonal{}), WithPeriod(4)).Name()
+	if got != "utilization-aware/diagonal/period=4" {
 		t.Errorf("name = %q", got)
 	}
 }

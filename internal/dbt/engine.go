@@ -5,11 +5,13 @@
 // itself with the aging-mitigation controller deciding where each
 // configuration lands.
 //
-// Functional execution always happens on the gpp.Core interpreter; the
-// engine attributes cycles and NBTI stress to the GPP or the CGRA according
-// to where each dynamic instruction logically executed. This trace-driven
-// split keeps architectural state trivially correct while modelling the
-// performance and aging behaviour the paper measures.
+// Functional execution always happens on the gpp.Core interpreter, once per
+// program: gpp.Record captures the execution's control flow, and the engine
+// replays that flow (RunFlow), attributing cycles and NBTI stress to the
+// GPP or the CGRA according to where each dynamic instruction logically
+// executed. This trace-driven split keeps architectural state trivially
+// correct while modelling the performance and aging behaviour the paper
+// measures.
 package dbt
 
 import (
@@ -343,16 +345,31 @@ func (e *Engine) Controller() *core.Controller { return e.ctrl }
 func (e *Engine) Cache() *cfgcache.Cache { return e.cache }
 
 // Run executes the core to completion (or the instruction limit) on the
-// TransRec system and returns the report.
+// TransRec system and returns the report. The core runs once, to record its
+// control flow, and is left in its final architectural state; the
+// co-simulation then replays the recording (RunFlow).
 func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
+	f, err := gpp.Record(c, limit)
+	if err != nil {
+		return nil, fmt.Errorf("dbt: %w", err)
+	}
+	return e.RunFlow(f)
+}
+
+// RunFlow co-simulates a recorded execution on the TransRec system and
+// returns the report. Nothing the engine models reads register or memory
+// values — trace capture, translation, offload replay, placement and the
+// recovery checks see only the retired PCs and branch directions — so
+// replaying the flow reproduces the execution-driven co-simulation
+// exactly.
+func (e *Engine) RunFlow(f *gpp.Flow) (*Report, error) {
 	// Index the configuration cache densely over the text segment so the
 	// two per-retired-instruction residency probes (Lookup below and
 	// Contains in observe) are array loads instead of map operations, and
 	// precompute the per-instruction timing/class attribution tables.
-	if p := c.Program(); p != nil {
-		e.cache.EnableDense(p.TextBase, len(p.Text))
-		e.ensureTables(p)
-	}
+	p := f.Program()
+	e.cache.EnableDense(p.TextBase, len(p.Text))
+	e.ensureTables(p)
 	// The allocator may be shared across a suite of engines (one fabric),
 	// so its search counters are attributed to this run as a delta.
 	var allocStart searchcost.Counts
@@ -370,24 +387,18 @@ func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
 	// long as this run.
 	e.rejected = newRejectMemo()
 	defer func() { e.rejected = nil }()
-	for !c.Halted() {
-		if c.RetiredCount() >= limit {
-			return nil, fmt.Errorf("dbt: instruction limit %d reached at pc %#x", limit, c.PC)
-		}
-		if cfg, ok := e.cache.Lookup(c.PC); ok {
+	cur := f.Cursor()
+	for !cur.Halted() {
+		if cfg, ok := e.cache.Lookup(cur.PC()); ok {
 			// Step 5-7 of Fig. 2: offload to the CGRA.
 			e.finalizeTrace()
-			if err := e.offload(c, cfg); err != nil {
+			if err := e.offload(&cur, cfg); err != nil {
 				return nil, err
 			}
 			continue
 		}
 		// Steps 1-3: execute on the GPP while the DBT captures the trace.
-		r, err := e.stepOnGPP(c)
-		if err != nil {
-			return nil, err
-		}
-		e.observe(r)
+		e.observe(e.stepOnGPP(&cur))
 	}
 	e.finalizeTrace()
 	e.rep.Geom = e.opts.Geom
@@ -407,20 +418,21 @@ func (e *Engine) Run(c *gpp.Core, limit uint64) (*Report, error) {
 	return &rep, nil
 }
 
-// offload replays one configuration on the CGRA: the functional core steps
-// through the recorded sequence, exiting early if a branch diverges from
-// the captured direction. Per-op accounting is batched through the
-// config's memoized prefix tables: the loop only executes and checks for
-// divergence, and the instruction/class/cycle attribution is applied once
-// from the count of ops that ran.
-func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
+// offload replays one configuration on the CGRA: the flow cursor walks
+// the translated sequence, exiting early where the recorded control flow
+// leaves it (a branch whose direction differs from the captured one).
+// Per-op accounting is batched through the config's memoized prefix
+// tables: the loop only checks for divergence, and the
+// instruction/class/cycle attribution is applied once from the count of
+// ops that ran.
+func (e *Engine) offload(cur *gpp.Cursor, cfg *fabric.Config) error {
 	if mon := e.opts.Recovery; mon != nil && mon.FabricDistrusted() {
 		// Fail-stop: the first detected fault condemned the whole fabric and
 		// every later offload retires on the GPP (the no-recovery baseline
 		// the recovery policy is measured against). The region is already
 		// translated, so the trace builder is not re-engaged.
-		_, err := e.stepOnGPP(c)
-		return err
+		e.stepOnGPP(cur)
+		return nil
 	}
 	if e.opts.ShapeTranslations {
 		// The resident translations' shapes were decided under one health
@@ -433,11 +445,7 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 		// stale all the same.
 		if e.cache.SyncState(e.healthVersion()) || e.stateFlushed {
 			e.stateFlushed = false
-			r, err := e.stepOnGPP(c)
-			if err != nil {
-				return err
-			}
-			e.observe(r)
+			e.observe(e.stepOnGPP(cur))
 			return nil
 		}
 	}
@@ -446,8 +454,8 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 			e.unplaceable, e.unplaceableVer = nil, h.Version()
 		} else if e.unplaceable[cfg.StartPC] {
 			e.rep.GPPFallbacks++
-			_, err := e.stepOnGPP(c)
-			return err
+			e.stepOnGPP(cur)
+			return nil
 		}
 	}
 	// PlaceOrRemap returns cfg itself on the ordinary path; when clustered
@@ -469,15 +477,15 @@ func (e *Engine) offload(c *gpp.Core, cfg *fabric.Config) error {
 		}
 		e.unplaceable[cfg.StartPC] = true
 		e.rep.GPPFallbacks++
-		_, err := e.stepOnGPP(c)
-		return err
+		e.stepOnGPP(cur)
+		return nil
 	}
 	if mapped != cfg {
 		e.rep.Remaps++
 	}
 
 	pcs, dirs := mapped.ReplayTables()
-	n, early, err := c.RunExpected(pcs, dirs)
+	n, early, err := cur.Follow(pcs, dirs)
 	if err != nil {
 		return err
 	}
@@ -606,11 +614,8 @@ func (e *Engine) healthVersion() uint64 {
 // instruction count and class: the shared accounting of the normal GPP path
 // and the unplaceable-configuration fallback (which skips the trace
 // builder, since its region is already translated).
-func (e *Engine) stepOnGPP(c *gpp.Core) (gpp.Retire, error) {
-	r, err := c.Step()
-	if err != nil {
-		return r, err
-	}
+func (e *Engine) stepOnGPP(cur *gpp.Cursor) gpp.Retire {
+	r := cur.Step()
 	if r.Taken {
 		e.rep.GPPCycles += e.cyc[r.Index]
 	} else {
@@ -618,7 +623,7 @@ func (e *Engine) stepOnGPP(c *gpp.Core) (gpp.Retire, error) {
 	}
 	e.rep.GPPInstrs++
 	e.rep.GPPClasses[e.class[r.Index]]++
-	return r, nil
+	return r
 }
 
 // observe feeds one retired instruction to the DBT's trace builder. Traces
@@ -847,6 +852,21 @@ func (e *Engine) profitable(cfg *fabric.Config) bool {
 	}
 	cgraCycles := offloadOverhead + cfg.ExecCycles()
 	return cgraCycles < gppCycles
+}
+
+// GPPOnly prices a recorded execution on the stand-alone GPP: the same
+// cycles and classes RunGPPOnly measures on the execution the flow was
+// recorded from, summed per text index from the flow's profile.
+func GPPOnly(f *gpp.Flow, timing gpp.Timing) (cycles uint64, classes ClassCounts) {
+	if timing == (gpp.Timing{}) {
+		timing = gpp.DefaultTiming()
+	}
+	retired, taken := f.Profile()
+	for i, in := range f.Program().Text {
+		cycles += (retired[i]-taken[i])*timing.CyclesFor(in, false) + taken[i]*timing.CyclesFor(in, true)
+		classes[in.Op.Class()] += retired[i]
+	}
+	return cycles, classes
 }
 
 // RunGPPOnly measures the stand-alone GPP: the red reference square of

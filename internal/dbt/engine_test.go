@@ -360,3 +360,38 @@ func TestOptionsValidation(t *testing.T) {
 		t.Error("zero geometry accepted")
 	}
 }
+
+// BenchmarkEngineFlow times the co-simulation alone: crc32 at Small is
+// recorded once outside the timer, and every iteration replays the flow on
+// a fresh engine (2×16 fabric, utilization-aware allocator), as each design
+// point of a sweep and each simulated lifetime epoch does.
+func BenchmarkEngineFlow(b *testing.B) {
+	bench, ok := prog.ByName("crc32")
+	if !ok {
+		b.Fatal("crc32 missing from the suite")
+	}
+	c, err := bench.NewCore(prog.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := gpp.Record(c, bench.MaxInstructions)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.Release()
+	g := fabric.NewGeometry(2, 16)
+	b.ResetTimer()
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		e, err := NewEngine(Options{Geom: g, Allocator: alloc.NewUtilizationAware(g)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := e.RunFlow(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs += rep.TotalInstrs
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+}

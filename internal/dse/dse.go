@@ -132,9 +132,10 @@ type Options struct {
 	// benchmarks accumulate stress on one shared fabric); parallelism is
 	// across design points.
 	Workers int
-	// Refs memoizes the stand-alone GPP reference runs across design
-	// points; nil means each RunSuite computes its own references (Sweep
-	// and RunPoints install a shared cache automatically).
+	// Refs memoizes the stand-alone GPP reference runs, and the control
+	// flows they record, across design points; nil means each RunSuite
+	// computes its own references (Sweep and RunPoints install a shared
+	// cache automatically).
 	Refs *RefCache
 }
 
@@ -154,6 +155,10 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 		names = prog.Names()
 	}
 
+	refs := opt.Refs
+	if refs == nil {
+		refs = NewRefCache()
+	}
 	allocator := factory(geom)
 	ctrl, err := core.NewController(geom, allocator)
 	if err != nil {
@@ -172,33 +177,16 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 			return nil, fmt.Errorf("dse: unknown benchmark %q", name)
 		}
 
-		// Stand-alone GPP reference, memoized across design points when a
-		// RefCache is installed: the reference depends only on the
-		// benchmark, size and timing, never on the geometry or allocator.
-		var gppCycles uint64
-		var gppClasses dbt.ClassCounts
-		if opt.Refs != nil {
-			ref, err := opt.Refs.Get(b, size, opt.Engine.Timing)
-			if err != nil {
-				return nil, fmt.Errorf("dse: %s gpp-only: %w", name, err)
-			}
-			gppCycles, gppClasses = ref.Cycles, ref.Classes
-		} else {
-			cg, err := b.NewCore(size)
-			if err != nil {
-				return nil, err
-			}
-			gppCycles, gppClasses, err = dbt.RunGPPOnly(cg, opt.Engine.Timing, b.MaxInstructions)
-			if err != nil {
-				return nil, fmt.Errorf("dse: %s gpp-only: %w", name, err)
-			}
+		// Stand-alone GPP reference, memoized across design points: it
+		// depends only on the benchmark, size and timing, never on the
+		// geometry or allocator. Its recorded flow drives the TransRec run.
+		ref, err := refs.Get(b, size, opt.Engine.Timing)
+		if err != nil {
+			return nil, fmt.Errorf("dse: %s gpp-only: %w", name, err)
 		}
+		gppCycles, gppClasses := ref.Cycles, ref.Classes
 
 		// TransRec run sharing the suite controller.
-		ct, err := b.NewCore(size)
-		if err != nil {
-			return nil, err
-		}
 		eopts := opt.Engine
 		eopts.Geom = geom
 		eopts.Controller = ctrl
@@ -206,7 +194,7 @@ func RunSuite(geom fabric.Geometry, factory AllocatorFactory, opt Options) (*Sui
 		if err != nil {
 			return nil, err
 		}
-		rep, err := eng.Run(ct, b.MaxInstructions)
+		rep, err := eng.RunFlow(ref.Flow)
 		if err != nil {
 			return nil, fmt.Errorf("dse: %s transrec: %w", name, err)
 		}

@@ -1,6 +1,6 @@
 // Parallel sweep engine: every figure and table of the paper re-runs the
 // suite across geometry × allocator design points, and the points are
-// mutually independent (each owns its controller, allocator and cores), so
+// mutually independent (each owns its controller, allocator and engines), so
 // they fan out over a worker pool. Two invariants keep the parallel path
 // bit-identical to the serial one: results land at their point's index
 // regardless of completion order, and the stand-alone GPP reference — a
@@ -23,15 +23,22 @@ import (
 	"agingcgra/internal/dbt"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/gpp"
+	"agingcgra/internal/isa"
 	"agingcgra/internal/memostore"
 	"agingcgra/internal/prog"
 )
 
 // GPPRef is the stand-alone GPP outcome for one benchmark: the reference
-// every design point is normalized against.
+// every design point is normalized against, and the recorded control flow
+// every engine run of the benchmark replays (dbt.Engine.RunFlow).
 type GPPRef struct {
 	Cycles  uint64
 	Classes dbt.ClassCounts
+	// Flow is the reference execution's control flow.
+	Flow *gpp.Flow
+	// Checksum is the a0 result the execution left, already validated
+	// against the benchmark's Go reference.
+	Checksum uint32
 }
 
 type refKey struct {
@@ -59,7 +66,9 @@ func NewRefCache() *RefCache {
 
 // Get returns the memoized reference for (b, size, timing), computing it on
 // first use. The zero timing normalizes to gpp.DefaultTiming, matching
-// dbt.RunGPPOnly.
+// dbt.RunGPPOnly. Computing it is the benchmark's one execution: the run
+// records its control flow and is checked against the Go reference, so
+// every engine run that replays the flow replays a checked execution.
 func (rc *RefCache) Get(b *prog.Benchmark, size prog.Size, timing gpp.Timing) (GPPRef, error) {
 	if timing == (gpp.Timing{}) {
 		timing = gpp.DefaultTiming()
@@ -70,10 +79,17 @@ func (rc *RefCache) Get(b *prog.Benchmark, size prog.Size, timing gpp.Timing) (G
 		if err != nil {
 			return GPPRef{}, err
 		}
-		var ref GPPRef
-		ref.Cycles, ref.Classes, err = dbt.RunGPPOnly(c, timing, b.MaxInstructions)
-		c.Release()
-		return ref, err
+		defer c.Release()
+		f, err := gpp.Record(c, b.MaxInstructions)
+		if err != nil {
+			return GPPRef{}, err
+		}
+		ref := GPPRef{Flow: f, Checksum: c.Regs[isa.A0]}
+		if err := b.Check(c.Mem, ref.Checksum, size); err != nil {
+			return GPPRef{}, fmt.Errorf("wrong result: %w", err)
+		}
+		ref.Cycles, ref.Classes = dbt.GPPOnly(f, timing)
+		return ref, nil
 	})
 	if err != nil {
 		return GPPRef{}, err

@@ -7,8 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"agingcgra/internal/dbt"
 	"agingcgra/internal/fabric"
 	"agingcgra/internal/gpp"
+	"agingcgra/internal/isa"
 	"agingcgra/internal/prog"
 )
 
@@ -73,7 +75,10 @@ func TestRunPointsMixedFactories(t *testing.T) {
 }
 
 // TestRefCacheMatchesDirect asserts the memoized GPP reference equals a
-// direct RunSuite without a cache, and that repeated Gets are stable.
+// direct RunSuite without a cache, that repeated Gets are stable, and that
+// the cycles, classes and checksum the reference derives from its recorded
+// flow equal a direct dbt.RunGPPOnly execution for every kernel, under the
+// default timing and a non-default one.
 func TestRefCacheMatchesDirect(t *testing.T) {
 	g := fabric.NewGeometry(2, 16)
 	opt := testOptions(1)
@@ -102,6 +107,51 @@ func TestRefCacheMatchesDirect(t *testing.T) {
 	}
 	if r1 != r2 {
 		t.Errorf("zero timing should normalize to the default: %+v vs %+v", r1, r2)
+	}
+
+	slow := gpp.DefaultTiming()
+	slow.Load, slow.TakenRedirect, slow.Mispredict = 7, 5, 11
+	for _, timing := range []gpp.Timing{gpp.DefaultTiming(), slow} {
+		for _, b := range prog.All() {
+			ref, err := opt.Refs.Get(b, prog.Tiny, timing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := b.NewCore(prog.Tiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cycles, classes, err := dbt.RunGPPOnly(c, timing, b.MaxInstructions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Cycles != cycles || ref.Classes != classes {
+				t.Errorf("%s: flow-derived reference %d cycles %v, execution %d cycles %v",
+					b.Name, ref.Cycles, ref.Classes, cycles, classes)
+			}
+			if ref.Checksum != c.Regs[isa.A0] {
+				t.Errorf("%s: reference checksum %#x, execution %#x", b.Name, ref.Checksum, c.Regs[isa.A0])
+			}
+			c.Release()
+		}
+	}
+}
+
+// TestSmallSuiteFlowsAreCompact pins the memory cost of recording: the
+// control flows of the ten Small kernels, which every RefCache serving a
+// Small sweep holds, stay within 128 KiB (about 61 KiB today).
+func TestSmallSuiteFlowsAreCompact(t *testing.T) {
+	refs := NewRefCache()
+	total := 0
+	for _, b := range prog.All() {
+		ref, err := refs.Get(b, prog.Small, gpp.Timing{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += ref.Flow.Size()
+	}
+	if total > 128<<10 {
+		t.Errorf("Small suite flows take %d bytes, want at most 128 KiB", total)
 	}
 }
 

@@ -304,46 +304,6 @@ func (c *Core) stepIdx(idx int) (Retire, error) {
 	return ret, nil
 }
 
-// RunExpected replays a translated instruction sequence: it executes while
-// the PC follows pcs, stopping before the first op whose address diverges
-// from the actual control flow and after the first branch whose observed
-// direction differs from dirs (-1 marks non-branches, otherwise 0/1 is the
-// expected not-taken/taken outcome). It returns the number of instructions
-// executed and whether the replay exited the sequence early. This is the
-// inner loop of configuration replay, with the text index tracked
-// incrementally exactly like Run.
-func (c *Core) RunExpected(pcs []uint32, dirs []int8) (n int, early bool, err error) {
-	idx := -1
-	textLen := len(c.prog.Text)
-	for n < len(pcs) {
-		if c.PC != pcs[n] {
-			return n, true, nil
-		}
-		if c.halted {
-			return n, true, fmt.Errorf("gpp: step after halt at pc %#x", c.PC)
-		}
-		if idx < 0 {
-			if idx = c.prog.IndexOf(c.PC); idx < 0 {
-				return n, true, fmt.Errorf("gpp: pc %#x outside text segment", c.PC)
-			}
-		}
-		r, err := c.stepIdx(idx)
-		if err != nil {
-			return n, true, err
-		}
-		n++
-		if d := dirs[n-1]; d >= 0 && r.Taken != (d == 1) {
-			return n, true, nil
-		}
-		if r.NextPC == r.PC+4 && idx+1 < textLen {
-			idx++
-		} else {
-			idx = -1
-		}
-	}
-	return n, false, nil
-}
-
 // Run executes until halt or until limit instructions have retired, invoking
 // hook (if non-nil) for every retirement. It returns the number of
 // instructions retired by this call.

@@ -366,60 +366,6 @@ func TestJALRClearsLowBit(t *testing.T) {
 	}
 }
 
-// TestRunExpectedGuidedReplay exercises the replay primitive: full
-// sequences, PC divergence, and branch-direction divergence.
-func TestRunExpectedGuidedReplay(t *testing.T) {
-	p, err := isa.Assemble(`
-_start:
-	li   t0, 1
-	li   t1, 2
-	add  t2, t0, t1
-	beq  t0, t1, skip
-	add  t3, t2, t0
-skip:
-	ecall
-`, isa.AsmOptions{TextBase: TextBase})
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-
-	pcAt := func(i int) uint32 { return p.AddrOf(i) }
-
-	// Full straight-line replay: four ops, branch not taken as expected.
-	c := New(p)
-	pcs := []uint32{pcAt(0), pcAt(1), pcAt(2), pcAt(3)}
-	dirs := []int8{-1, -1, -1, 0}
-	n, early, err := c.RunExpected(pcs, dirs)
-	if err != nil || n != 4 || early {
-		t.Fatalf("straight-line replay: n=%d early=%v err=%v", n, early, err)
-	}
-	if c.Regs[isa.T2] != 3 {
-		t.Errorf("t2 = %d, want 3", c.Regs[isa.T2])
-	}
-
-	// Branch-direction divergence: expect taken, observe not-taken. The
-	// branch executes (counted) and the replay reports an early exit.
-	c = New(p)
-	dirs = []int8{-1, -1, -1, 1}
-	n, early, err = c.RunExpected(pcs, dirs)
-	if err != nil || n != 4 || !early {
-		t.Fatalf("diverging branch: n=%d early=%v err=%v", n, early, err)
-	}
-
-	// PC divergence: the sequence expects an op the control flow never
-	// reaches; nothing past the divergence executes.
-	c = New(p)
-	pcs = []uint32{pcAt(0), pcAt(2)}
-	dirs = []int8{-1, -1}
-	n, early, err = c.RunExpected(pcs, dirs)
-	if err != nil || n != 1 || !early {
-		t.Fatalf("pc divergence: n=%d early=%v err=%v", n, early, err)
-	}
-	if c.RetiredCount() != 1 {
-		t.Errorf("retired = %d, want 1", c.RetiredCount())
-	}
-}
-
 // TestRunTracksIndexAcrossJumps asserts the incremental index tracking in
 // Run survives taken branches, jumps and returns.
 func TestRunTracksIndexAcrossJumps(t *testing.T) {

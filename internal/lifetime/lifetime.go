@@ -18,14 +18,15 @@
 //     pivots that would rotate a configuration onto a failure.
 //
 // The epoch outcome is a pure function of the fabric state the allocator
-// can observe (fresh allocator, cores and caches each epoch; the GPP
-// reference is memoized), so each epoch is looked up under a digest of that
-// state's content (epochKey) and replays from memo instead of re-simulating
-// when the state was seen before — multi-decade horizons cost one
-// co-simulation per distinct fabric state. Health-only allocators observe the
-// dead mask; wear-adaptive allocators (alloc.WearSetter) also see the
-// accumulated fabric.Wear map — wear accrues every epoch, which correctly
-// forces those scenarios to re-simulate as the placement search adapts.
+// can observe (fresh allocator, engines and caches each epoch, replaying the
+// memoized GPP reference's recorded control flow), so each epoch is looked
+// up under a digest of that state's content (epochKey) and replays from
+// memo instead of re-simulating when the state was seen before —
+// multi-decade horizons cost one co-simulation per distinct fabric state.
+// Health-only allocators observe the dead mask; wear-adaptive allocators
+// (alloc.WearSetter) also see the accumulated fabric.Wear map — wear
+// accrues every epoch, which correctly forces those scenarios to
+// re-simulate as the placement search adapts.
 // Wear is added only between epochs, after runEpoch returns, so every
 // allocator and engine sees one fixed wear map for its whole life; that is
 // what lets wear consumers read it once instead of tracking its changes.
@@ -44,7 +45,6 @@ import (
 	"agingcgra/internal/dbt"
 	"agingcgra/internal/dse"
 	"agingcgra/internal/fabric"
-	"agingcgra/internal/isa"
 	"agingcgra/internal/memostore"
 	"agingcgra/internal/prog"
 	recov "agingcgra/internal/recover"
@@ -908,12 +908,12 @@ func updateFaults(f *fabric.Faults, wear *fabric.Wear, health *fabric.Health, th
 
 // runEpoch co-simulates the workload mix once on the current fabric state:
 // a fresh allocator and controller (sharing one fabric across the mix, as a
-// deployed chip would within an epoch), fresh engines and caches, and the
-// scenario's health and wear maps wired into the mapper, the placement and
-// any wear-adaptive allocator. With a recovery monitor attached the oracle
-// is hidden: mapper and placement consume the monitor's observed health
-// map, and ground truth stays with the simulator (aging, deaths and fault
-// manifestation).
+// deployed chip would within an epoch), fresh engines and caches replaying
+// each program's recorded reference flow, and the scenario's health and
+// wear maps wired into the mapper, the placement and any wear-adaptive
+// allocator. With a recovery monitor attached the oracle is hidden: mapper
+// and placement consume the monitor's observed health map, and ground
+// truth stays with the simulator (aging, deaths and fault manifestation).
 func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov.Monitor) (*epochRun, error) {
 	ctrl, err := core.NewController(sc.Geom, sc.Factory(sc.Geom))
 	if err != nil {
@@ -934,10 +934,6 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 			return nil, fmt.Errorf("%s gpp-only: %w", name, err)
 		}
 
-		ct, err := b.NewCore(sc.Size)
-		if err != nil {
-			return nil, err
-		}
 		eopts := sc.Engine
 		eopts.Geom = sc.Geom
 		eopts.Controller = ctrl
@@ -947,22 +943,15 @@ func runEpoch(sc *Scenario, health *fabric.Health, wear *fabric.Wear, mon *recov
 		if err != nil {
 			return nil, err
 		}
-		rep, err := eng.Run(ct, b.MaxInstructions)
+		// The engine replays the reference run's recorded flow. That run
+		// was checked against the kernel's Go reference when it was
+		// recorded, and the fabric never touches functional execution
+		// (the DBT maps and places around dead cells, never through
+		// them), so a degraded fabric cannot change the result.
+		rep, err := eng.RunFlow(ref.Flow)
 		if err != nil {
 			return nil, fmt.Errorf("%s transrec: %w", name, err)
 		}
-		// Architectural correctness must survive failures: the DBT maps
-		// and places around dead cells, never through them.
-		if err := b.Check(ct.Mem, ct.Regs[isa.A0], sc.Size); err != nil {
-			return nil, fmt.Errorf("%s wrong result on degraded fabric: %w", name, err)
-		}
-		// Recycling the core's memory through the pool is invisible to the
-		// epoch memo: the memo key is the observed fabric state (health,
-		// wear, faults, monitor version), never anything reachable from
-		// the core, and a pooled memory is scrubbed back to zero before
-		// reuse — a memoized epoch and a re-simulated one read identical
-		// initial memory.
-		ct.Release()
 
 		run.gppCycles += ref.Cycles
 		run.trCycles += rep.TotalCycles
